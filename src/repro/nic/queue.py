@@ -314,9 +314,18 @@ class WorkQueue:
         for managed queues (the paper's "managed flag [...] disables the
         driver from issuing doorbells after a WR is posted", §5).
         """
+        return self.post_bytes(wqe.encode(), ring_doorbell)
+
+    def post_bytes(self, data, ring_doorbell: Optional[bool] = None) -> int:
+        """Write an encoded WQE (``num_slots * 64`` bytes) into the ring.
+
+        The one producer path: :meth:`post` encodes and lands here, and
+        pre-linked chain images (:mod:`repro.redn.image`) post their
+        relocated bytes here directly. Overflow, ring wrap, obs hooks
+        and the doorbell policy of :meth:`post` all live here once.
+        """
         if self.destroyed:
             raise QueueError(f"post to destroyed {self!r}")
-        data = wqe.encode()
         slots = len(data) // WQE_SLOT_SIZE
         if slots > self.num_slots:
             raise QueueError(f"WQE of {slots} slots exceeds ring size")
@@ -337,12 +346,14 @@ class WorkQueue:
         wr_index = self.posted_count
         self.posted_count += 1
         if _obs.enabled:
+            # The posted opcode is the ctrl word's high 16 bits.
+            opcode = (data[0] << 8) | data[1]
             tracer = self.sim.tracer
             if tracer is not None:
-                tracer.wqe_posted(self, wr_index, cursor, slots, wqe)
+                tracer.wqe_posted(self, wr_index, cursor, slots, opcode)
             recorder = self.sim.recorder
             if recorder is not None:
-                recorder.on_post(self, wr_index, cursor, slots, wqe)
+                recorder.on_post(self, wr_index, cursor, slots, opcode)
             telemetry = self.sim.telemetry
             if telemetry is not None:
                 telemetry.on_post(self)

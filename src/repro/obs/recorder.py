@@ -356,7 +356,7 @@ class FlightRecorder:
     # -- hook methods (called from instrumented NIC code) -------------------
 
     def on_post(self, wq, wr_index: int, slot_cursor: int, slots: int,
-                wqe) -> None:
+                opcode: int) -> None:
         if self.stopped:
             return
         gens, data = wq.slot_state(slot_cursor, slots)
@@ -364,7 +364,7 @@ class FlightRecorder:
                     "wq_num": wq.wq_num, "wr": wr_index,
                     "slot": slot_cursor % wq.num_slots, "slots": slots,
                     "addr": wq.slot_addr(slot_cursor),
-                    "op": _op_name(wqe.opcode), "wqe": data.hex(),
+                    "op": _op_name(opcode), "wqe": data.hex(),
                     "gens": list(gens)})
 
     def on_doorbell(self, wq, up_to: int) -> None:

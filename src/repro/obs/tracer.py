@@ -201,13 +201,13 @@ class Tracer:
     # -- queue-side events ----------------------------------------------------
 
     def wqe_posted(self, wq, wr_index: int, slot_cursor: int, slots: int,
-                   wqe) -> None:
+                   opcode: int) -> None:
         """Host posted a WQE: record its image for the race inspector."""
         pid, tid = self._wq_track(wq)
         gens, data = wq.slot_state(slot_cursor, slots)
         ring_slots = wq.num_slots
         self._slot_images[(id(wq), slot_cursor % ring_slots)] = (gens, data)
-        self._append("i", "queue", f"post:{_op_name(wqe.opcode)}", pid,
+        self._append("i", "queue", f"post:{_op_name(opcode)}", pid,
                      tid, self.sim.now,
                      args={"wr_index": wr_index,
                            "slot": slot_cursor % ring_slots,

@@ -36,7 +36,8 @@ from ..memory.region import MemoryRegion
 from ..nic.opcodes import Opcode
 from ..nic.wqe import Sge, ctrl_word
 from ..redn.builder import ProgramBuilder
-from ..redn.ir import AimEdge, FieldRef, InjectReadOp
+from ..redn.image import ChainImage
+from ..redn.ir import AimEdge, FieldRef, InjectReadOp, InstanceOrdinal
 from ..redn.offload import OffloadConnection
 from ..redn.program import RednContext, WrRef
 
@@ -78,10 +79,13 @@ class HashGetOffload:
         self.name = name
         self.builder = ProgramBuilder(ctx, name=name)
         self.instances_posted = 0
+        self._image: Optional[ChainImage] = None
 
-        # Ring capacities scale with the instances the host pre-posts:
-        # per instance and bucket, 2 worker slots (READ + CAS) and 5
-        # control WRs (trigger WAIT + ENABLE/WAIT + if's 3 E-verbs).
+        # Ring capacities scale with the instances the host pre-posts.
+        # Per instance and bucket the chain posts 2 worker WRs (READ +
+        # CAS) and 6 control WRs (trigger WAIT, ENABLE-read, WAIT-read
+        # and the if's 3 E-verbs); the formulas reserve 3 and 7, one
+        # spare slot of each kind.
         worker_slots = max(256, 3 * max_instances *
                            (1 if parallel else buckets))
         control_slots = max(256, 7 * max_instances *
@@ -118,14 +122,27 @@ class HashGetOffload:
     # -- instance posting (the CPU's setup-time job) ----------------------
 
     def post_instances(self, count: int) -> None:
-        """Pre-post ``count`` request instances + their trigger RECVs."""
-        for _ in range(count):
-            self._post_one()
+        """Pre-post ``count`` request instances + their trigger RECVs.
 
-    def _post_one(self) -> None:
+        The first instance is linked through the IR and captured as a
+        :class:`~repro.redn.image.ChainImage`; every later one is that
+        image posted with its per-instance fields relocated. An image
+        post that would overflow a ring raises
+        :class:`~repro.nic.queue.QueueError` before writing anything.
+        """
+        for _ in range(count):
+            instance = self.instances_posted
+            if self._image is None:
+                self._image = self._compile(instance)
+            else:
+                self._image.post(instance)
+            self.instances_posted = instance + 1
+
+    def _compile(self, instance: int) -> ChainImage:
+        """Link one instance through the IR; capture it as an image."""
         builder = self.builder
-        instance = self.instances_posted
-        self.instances_posted += 1
+        program = builder.program
+        first_op, first_edge = len(program.ir_ops), len(program.ir_edges)
         tag = f"get{instance}"
 
         cas_sinks: List[WrRef] = []
@@ -141,7 +158,8 @@ class HashGetOffload:
                 lane,
                 wr_write_imm(0, 0, self.conn.response_addr,
                              self.conn.response_rkey,
-                             immediate=instance, signaled=True),
+                             immediate=InstanceOrdinal(instance),
+                             signaled=True),
                 tag=f"{tag}.b{bucket}.resp")
 
             # Bucket READ: raddr injected by the RECV; record bytes land
@@ -154,7 +172,8 @@ class HashGetOffload:
 
             # Control chain for this bucket: trigger -> READ -> if.
             builder.wait(control, self.conn.server_qp.recv_wq.cq,
-                         instance + 1, tag=f"{tag}.b{bucket}.trigger")
+                         InstanceOrdinal(instance + 1),
+                         tag=f"{tag}.b{bucket}.trigger")
             builder.enable(control, read, tag=f"{tag}.b{bucket}.en-read")
             builder.wait_signals(control, worker,
                                  tag=f"{tag}.b{bucket}.wait-read")
@@ -170,13 +189,18 @@ class HashGetOffload:
         # verifier sees the runtime injections.
         targets = ([FieldRef(cas, "operand0") for cas in cas_sinks]
                    + [FieldRef(read, "raddr") for read in read_sinks])
-        sges = [Sge(target.addr, 8) for target in targets]
+        recv = wr_recv(sges=[Sge(target.addr, 8) for target in targets])
         for target in targets:
-            builder.program.add_edge(AimEdge(src=None, dst=target,
-                                             length=8, kind="scatter"))
-        self.conn.server_qp.post_recv(wr_recv(sges=sges))
-        for control in self._unique_controls():
+            program.add_edge(AimEdge(src=None, dst=target, length=8,
+                                     kind="scatter"))
+        recv_wq = self.conn.server_qp.recv_wq
+        self.conn.server_qp.post_recv(recv)
+        controls = self._unique_controls()
+        for control in controls:
             control.doorbell()
+        return ChainImage(program, first_op, first_edge, instance,
+                          tag_stem="get", trigger=(recv_wq, recv, targets),
+                          doorbells=[control.wq for control in controls])
 
     def _unique_controls(self):
         seen = []

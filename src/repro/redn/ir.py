@@ -20,7 +20,10 @@ The IR is *symbolic* where the byte format is positional:
   live ctrl word of that template", not a magic integer;
 * WAIT thresholds may be :class:`SignaledCount` — "every signaled WR
   posted on this queue so far", resolved at link time against the
-  queue's monotonic counters (§3.4).
+  queue's monotonic counters (§3.4);
+* literals that count request instances (a trigger WAIT's RECV
+  count, a response's immediate) are :class:`InstanceOrdinal`, so a
+  pre-linked image (:mod:`repro.redn.image`) can relocate them.
 
 Ops record *intent* (arm, inject, restore, count-bump), so the
 verifier distinguishes an arming CAS that must land before its target
@@ -56,6 +59,7 @@ __all__ = [
     "FieldRef",
     "ArmWord",
     "SignaledCount",
+    "InstanceOrdinal",
     "ChainOp",
     "RawOp",
     "TemplateOp",
@@ -234,6 +238,18 @@ class SignaledCount:
 
     def __repr__(self) -> str:
         return f"<SignaledCount of {self.queue.name}{self.bias:+d}>"
+
+
+class InstanceOrdinal(int):
+    """A literal that advances by one per posted request instance.
+
+    It is an ``int`` wherever it lands (a WAIT threshold, a WRITE_IMM
+    immediate), so linking is unchanged; the image compiler reads the
+    marker to relocate the field as ``instance + bias`` for every
+    instance posted from the image.
+    """
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -647,28 +663,81 @@ class LoopInfo:
 
 
 class ChainProgram:
-    """An ordered chain-op list plus its modification edges."""
+    """An ordered chain-op list plus its modification edges.
+
+    Ops and edges linked through the IR are stored (``ir_ops``,
+    ``ir_edges``). Instances posted from a pre-linked
+    :class:`~repro.redn.image.ChainImage` are only recorded, as (image,
+    instance, per-queue bases); :attr:`ops` and :attr:`edges` expand
+    them into relocated op views on first read, so verifier, cost and
+    lint see every posted WR while the post path builds no IR objects.
+    """
 
     def __init__(self, name: str = "prog"):
         self.name = name
-        self.ops: List[ChainOp] = []
-        self.edges: List[AimEdge] = []
+        self.ir_ops: List[ChainOp] = []
+        self.ir_edges: List[AimEdge] = []
         self.loops: List[LoopInfo] = []
+        #: (ir_ops position, ir_edges position, image, instance, bases)
+        #: per instance posted from an image.
+        self.image_posts: List[tuple] = []
         self._queues: List[ChainQueue] = []
+        self._expanded: Optional[Tuple[List[ChainOp],
+                                       List[AimEdge]]] = None
 
     def __repr__(self) -> str:
         return f"<ChainProgram {self.name} ops={len(self.ops)}>"
 
+    @property
+    def ops(self) -> List[ChainOp]:
+        if not self.image_posts:
+            return self.ir_ops
+        return self._expand()[0]
+
+    @property
+    def edges(self) -> List[AimEdge]:
+        if not self.image_posts:
+            return self.ir_edges
+        return self._expand()[1]
+
+    def _expand(self) -> Tuple[List[ChainOp], List[AimEdge]]:
+        if self._expanded is None:
+            ops: List[ChainOp] = []
+            edges: List[AimEdge] = []
+            op_pos = edge_pos = 0
+            for op_at, edge_at, image, instance, bases in self.image_posts:
+                ops += self.ir_ops[op_pos:op_at]
+                edges += self.ir_edges[edge_pos:edge_at]
+                op_pos, edge_pos = op_at, edge_at
+                view_ops, view_edges = image.expand(instance, bases)
+                ops += view_ops
+                edges += view_edges
+            ops += self.ir_ops[op_pos:]
+            edges += self.ir_edges[edge_pos:]
+            for index, op in enumerate(ops):
+                op.index = index
+            self._expanded = (ops, edges)
+        return self._expanded
+
     def append(self, op: ChainOp) -> ChainOp:
-        op.index = len(self.ops)
-        self.ops.append(op)
+        # Position in ir_ops; _expand renumbers when image posts precede.
+        op.index = len(self.ir_ops)
+        self.ir_ops.append(op)
+        self._expanded = None
         if op.queue not in self._queues:
             self._queues.append(op.queue)
         return op
 
     def add_edge(self, edge: AimEdge) -> AimEdge:
-        self.edges.append(edge)
+        self.ir_edges.append(edge)
+        self._expanded = None
         return edge
+
+    def record_image(self, image, instance: int, bases: tuple) -> None:
+        """Note one instance posted from ``image`` (expanded on read)."""
+        self.image_posts.append((len(self.ir_ops), len(self.ir_edges),
+                                 image, instance, bases))
+        self._expanded = None
 
     @property
     def queues(self) -> List[ChainQueue]:

@@ -271,9 +271,3 @@ class MovMachine:
         yield done
         self.ops_executed += len(ops)
         return self.wrs_posted - posted_before
-
-    # All mov-machine state is memory; registers may also alias
-    # arbitrary data regions the caller registered.
-
-    def memory_rkey_for(self, mr) -> int:
-        return mr.rkey

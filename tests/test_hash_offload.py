@@ -4,11 +4,15 @@ import pytest
 
 from repro.datastructs import BUCKET_SIZE, CuckooTable, SlabStore
 from repro.ibv import VerbsContext
+from repro.ibv.wr import wr_recv, wr_write_imm
 from repro.memory import HostMemory, ProtectionDomain
 from repro.net import Fabric
 from repro.nic import RNIC
+from repro.nic.queue import QueueError
+from repro.nic.wqe import Sge
 from repro.offloads.hash_lookup import HashGetOffload, hash_get_payload
 from repro.redn import RednContext
+from repro.redn.ir import AimEdge, FieldRef, InjectReadOp
 from repro.redn.offload import OffloadClient, OffloadConnection
 from repro.sim import Simulator
 
@@ -16,7 +20,8 @@ from repro.sim import Simulator
 class HashRig:
     """Server (table + offload) and client on separate hosts."""
 
-    def __init__(self, parallel=False, buckets=2, num_buckets=256):
+    def __init__(self, parallel=False, buckets=2, num_buckets=256,
+                 offload_cls=HashGetOffload, max_instances=64):
         self.sim = Simulator()
         self.server_mem = HostMemory(name="srv", size=64 * 1024 * 1024)
         self.client_mem = HostMemory(name="cli")
@@ -44,9 +49,10 @@ class HashRig:
         # READs touch the table region; responses gather from the slab.
         # Register one umbrella region over all server DRAM the program
         # touches (table + slab) for the offload's rkey.
-        self.offload = HashGetOffload(
+        self.offload = offload_cls(
             self.ctx, self.table, self.table_mr, self.conn,
-            parallel=parallel, buckets=buckets)
+            parallel=parallel, buckets=buckets,
+            max_instances=max_instances)
         self.verbs = VerbsContext(self.sim, name="cli-verbs")
         self.client = OffloadClient(self.conn, self.verbs)
 
@@ -161,3 +167,186 @@ def test_payload_layout():
     assert split_ctrl(word) == (Opcode.NOOP, 0x1234)
     addr1 = int.from_bytes(payload[16:24], "big")
     assert addr1 in rig.table.candidate_addrs(0x1234)
+
+
+# -- compile-once images vs the per-instance IR path ---------------------
+
+
+class OracleHashGetOffload(HashGetOffload):
+    """Reference posting path: every instance through builder -> IR ->
+    linker -> ``WorkQueue.post``, as the offload did before it posted
+    later instances from a pre-linked image."""
+
+    def post_instances(self, count):
+        for _ in range(count):
+            self._post_one()
+
+    def _post_one(self):
+        builder = self.builder
+        instance = self.instances_posted
+        self.instances_posted += 1
+        tag = f"get{instance}"
+
+        cas_sinks = []
+        read_sinks = []
+        for bucket in range(self.buckets):
+            worker = self.workers[bucket]
+            control = self.controls[bucket]
+            lane = self.response_lanes[bucket]
+            response = builder.template(
+                lane,
+                wr_write_imm(0, 0, self.conn.response_addr,
+                             self.conn.response_rkey,
+                             immediate=instance, signaled=True),
+                tag=f"{tag}.b{bucket}.resp")
+            read = builder.link(InjectReadOp(
+                worker, FieldRef(response, "id"), 18,
+                self.data_mr.rkey, signaled=True,
+                tag=f"{tag}.b{bucket}.read"))
+            builder.wait(control, self.conn.server_qp.recv_wq.cq,
+                         instance + 1, tag=f"{tag}.b{bucket}.trigger")
+            builder.enable(control, read, tag=f"{tag}.b{bucket}.en-read")
+            builder.wait_signals(control, worker,
+                                 tag=f"{tag}.b{bucket}.wait-read")
+            refs = builder.emit_if(control, worker, response,
+                                   compare_id=None,
+                                   tag=f"{tag}.b{bucket}.if")
+            cas_sinks.append(refs.cas)
+            read_sinks.append(read)
+
+        targets = ([FieldRef(cas, "operand0") for cas in cas_sinks]
+                   + [FieldRef(read, "raddr") for read in read_sinks])
+        sges = [Sge(target.addr, 8) for target in targets]
+        for target in targets:
+            builder.program.add_edge(AimEdge(src=None, dst=target,
+                                             length=8, kind="scatter"))
+        self.conn.server_qp.post_recv(wr_recv(sges=sges))
+        for control in self._unique_controls():
+            control.doorbell()
+
+
+def _rings(rig):
+    """Every ring the offload posts to: bytes, generations, counters."""
+    queues = [queue.wq for queue in rig.offload.builder.queues]
+    queues.append(rig.conn.server_qp.recv_wq)
+    state = []
+    for wq in queues:
+        state.append((wq.name,
+                      rig.server_mem.read(wq.ring.addr, wq.ring.size),
+                      wq.slot_gens(0, wq.num_slots),
+                      wq.posted_count, wq.enabled_count,
+                      wq._post_slot_cursor))
+    state.append([queue.signaled_posted
+                  for queue in rig.offload.builder.queues])
+    return state
+
+
+def _op_summary(program):
+    ops = [(type(op).__name__, op.tag, op.queue.name, op.index,
+            op.ref.wr_index, op.ref.slot_cursor,
+            bytes(op.ref.wqe.encode()), op.signal_seq,
+            op.intended_opcode) for op in program.ops]
+    edges = [(edge.kind, edge.length, edge.dst.field,
+              edge.dst.ref.wr_index, edge.dst.queue.name)
+             for edge in program.edges]
+    return ops, edges
+
+
+@pytest.mark.parametrize("parallel,buckets,obs_on", [
+    (False, 2, False),
+    (False, 1, False),
+    (True, 2, False),
+    (True, 1, False),
+    (False, 2, True),
+    (True, 2, True),
+])
+def test_image_posts_match_ir_oracle(parallel, buckets, obs_on):
+    """Image-posted instances are byte-identical to IR-linked ones.
+
+    60 instances with a call after each wrap the 256-slot control ring
+    mid-instance (12 control WRs per sequential two-bucket instance).
+    """
+    from repro.obs import FlightRecorder, Tracer
+    from repro.redn.passes import chain_cost, verify
+
+    rigs = [HashRig(parallel=parallel, buckets=buckets, max_instances=16,
+                    offload_cls=cls)
+            for cls in (HashGetOffload, OracleHashGetOffload)]
+    # 60 keys alternating between their candidate buckets, no two
+    # sharing one (a forced insert into a taken bucket would evict).
+    keys, taken = [], set()
+    for key in range(1, 1000):
+        addr = rigs[0].table.candidate_addrs(key)[key % buckets]
+        if addr not in taken:
+            taken.add(addr)
+            keys.append(key)
+        if len(keys) == 60:
+            break
+    sinks = []
+    try:
+        for rig in rigs:
+            for key in keys:
+                rig.table.insert(key, f"value-{key}".encode(),
+                                 force_bucket=(key % buckets))
+            if obs_on:
+                recorder = FlightRecorder(rig.sim, capacity=1 << 20)
+                recorder.attach_nic(rig.server_nic)
+                recorder.attach_nic(rig.client_nic)
+                sinks.append((recorder, Tracer(rig.sim)))
+        control = rigs[0].offload.controls[0].wq
+        assert control.num_slots == 256
+        wrapped = False
+        for key in keys:
+            before = control._post_slot_cursor
+            for rig in rigs:
+                rig.offload.post_instances(1)
+            after = control._post_slot_cursor
+            # This instance's control WRs straddle the ring edge.
+            wrapped |= (before % 256 != 0
+                        and before // 256 != (after - 1) // 256)
+            assert _rings(rigs[0]) == _rings(rigs[1])
+            if obs_on:
+                (rec_a, tr_a), (rec_b, tr_b) = sinks
+                assert list(rec_a.records) == list(rec_b.records)
+                assert tr_a.events == tr_b.events
+            results = [rig.get(key) for rig in rigs]
+            assert results[0].ok and results[0].data == \
+                f"value-{key}".encode()
+            assert (results[0].data, results[0].immediate,
+                    results[0].latency_ns) == \
+                (results[1].data, results[1].immediate,
+                 results[1].latency_ns)
+        assert wrapped
+        assert _rings(rigs[0]) == _rings(rigs[1])
+
+        image_prog, oracle_prog = (rig.offload.builder.program
+                                   for rig in rigs)
+        per_instance = 9 * buckets
+        assert len(image_prog.ir_ops) == per_instance
+        assert len(oracle_prog.ir_ops) == per_instance * len(keys)
+        assert _op_summary(image_prog) == _op_summary(oracle_prog)
+        assert str(chain_cost(image_prog)) == str(chain_cost(oracle_prog))
+        assert verify(image_prog) == []
+    finally:
+        for recorder, tracer in sinks:
+            tracer.close()
+            recorder.close()
+
+
+def test_image_post_fails_closed_on_full_control_ring():
+    """A post that cannot fit whole writes nothing anywhere."""
+    rig = HashRig(max_instances=16)
+    rig.offload.post_instances(1)
+    control = rig.offload.controls[0].wq
+    per_instance = 12
+    fits = (control.free_slots // per_instance)
+    rig.offload.post_instances(fits)
+    assert 0 < control.free_slots < per_instance
+    before = _rings(rig)
+    posted = rig.offload.instances_posted
+    ops = len(rig.offload.builder.program.ops)
+    with pytest.raises(QueueError, match="overflow"):
+        rig.offload.post_instances(1)
+    assert _rings(rig) == before
+    assert rig.offload.instances_posted == posted
+    assert len(rig.offload.builder.program.ops) == ops
