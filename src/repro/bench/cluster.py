@@ -112,9 +112,8 @@ def _frontend(rig: _BedRig, reply_to: Dict[int, ShardChannel]):
         src_index, client_id, seq = yield rpc.get()
         yield rig.service()
         if _obs.enabled:
-            telemetry = sim.telemetry
-            if telemetry is not None:
-                telemetry.serviced()
+            for hook in sim.hooks.serviced:
+                hook()
         reply_to[src_index].send(f"rsp{client_id}", seq)
 
 
@@ -144,12 +143,10 @@ def _client(rig: _BedRig, chan: ShardChannel, client_id: int,
         assert reply == seq, f"out-of-order reply {reply} != {seq}"
         latency_sum += sim.now - start
         if _obs.enabled:
-            telemetry = sim.telemetry
-            if telemetry is not None:
-                telemetry.request_complete(
-                    sim.now - start,
-                    key=_SKEW_TABLE[(bed_index * 31 + client_id * 17
-                                     + seq * 7) % 16])
+            key = _SKEW_TABLE[(bed_index * 31 + client_id * 17
+                               + seq * 7) % 16]
+            for hook in sim.hooks.request:
+                hook(sim.now - start, key, None)
         yield THINK_NS + (dither_base + seq * 31) % 97
     return latency_sum
 

@@ -274,9 +274,8 @@ def _gateway(rig: _ShardRig, reply_to: Dict[int, ShardChannel]):
             ctx.hop_received(sim.now, rig.index, "rpc")
         yield from rig.execute_get(key, blame=ctx)
         if _obs.enabled:
-            telemetry = sim.telemetry
-            if telemetry is not None:
-                telemetry.serviced()
+            for hook in sim.hooks.serviced:
+                hook()
         sent = sim.now
         arrival = reply_to[src_index].send(f"rsp{gid}", seq)
         if ctx is not None:
@@ -344,10 +343,8 @@ def _client(rig: _ShardRig, ring: HashRing, rigs: List[_ShardRig],
         completed += 1
         rigs[owner].latencies.append(latency)
         if _obs.enabled:
-            telemetry = sim.telemetry
-            if telemetry is not None:
-                telemetry.request_complete(latency, key=f"k{key}",
-                                           blame=ctx)
+            for hook in sim.hooks.request:
+                hook(latency, f"k{key}", ctx)
         yield THINK_NS + (dither_base + seq * 31) % 97
     # sim.now here, not the drained-queue frontier: a dangling offload
     # timeout event otherwise inflates the denominator of Mops.

@@ -236,20 +236,15 @@ class CompletionRouter:
             self.stale_cqes.append(
                 (cqe.wq_num, generation, cqe.wr_id & _USER_MASK))
             if _obs.enabled:
-                telemetry = self.sim.telemetry
-                if telemetry is not None:
-                    telemetry.on_stale_cqe(cq)
-                tracer = self.sim.tracer
-                if tracer is not None:
-                    tracer.cqe_demux(cq, cqe, stale=True)
+                for hook in self.sim.hooks.stale_cqe:
+                    hook(cq, cqe)
             return
         # Strip the cookie so the consumer sees the wr_id it posted.
         cqe.wr_id &= _USER_MASK
         self.routed += 1
         if _obs.enabled:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.cqe_demux(cq, cqe, stale=False)
+            for hook in self.sim.hooks.cqe_demux:
+                hook(cq, cqe)
             blame = lease.blame
             if blame is not None:
                 # The completion-to-host-delivery window: the CQE was
@@ -351,13 +346,11 @@ class QpPool(object):
         if _obs.enabled:
             now = self.sim.now
             wait_ns = 0 if waited_from is None else now - waited_from
-            telemetry = self.sim.telemetry
-            if telemetry is not None:
-                telemetry.on_pool_wait(self, wait_ns)
+            for hook in self.sim.hooks.pool_acquire:
+                hook(self, wait_ns)
             if wait_ns:
-                tracer = self.sim.tracer
-                if tracer is not None:
-                    tracer.pool_wait(self, waited_from, tag)
+                for hook in self.sim.hooks.pool_wait:
+                    hook(self, waited_from, tag)
                 if blame is not None:
                     blame.span(waited_from, now, "pool_wait", self.name)
         return self.lease(tag, blame=blame)

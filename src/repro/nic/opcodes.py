@@ -15,7 +15,7 @@ ConnectX NICs:
 
 from __future__ import annotations
 
-__all__ = ["Opcode", "WrFlags", "OPCODE_NAMES", "is_copy_verb",
+__all__ = ["Opcode", "WrFlags", "OPCODE_NAMES", "op_name", "is_copy_verb",
            "is_atomic_verb", "is_ordering_verb"]
 
 
@@ -50,6 +50,12 @@ OPCODE_NAMES = {
     Opcode.WAIT: "WAIT",
     Opcode.ENABLE: "ENABLE",
 }
+
+
+def op_name(opcode: int) -> str:
+    """Display name of an opcode; unknown values render as ``OP0x..``."""
+    return OPCODE_NAMES.get(opcode, f"OP{opcode:#x}")
+
 
 _COPY_VERBS = {Opcode.SEND, Opcode.RECV, Opcode.WRITE, Opcode.WRITE_IMM,
                Opcode.READ}

@@ -113,18 +113,10 @@ class SendQueueDriver:
                 engine.release(grant)
             self.stats["fetch_managed"] += 1
             if _obs.enabled:
-                tracer = sim.tracer
-                if tracer is not None:
-                    tracer.fetch_span(self.nic, wq, fetch_start, 1, True)
-                    tracer.wqe_fetched(wq, wr_index, cursor, slots, wqe,
-                                       wq._last_decode_cached)
-                recorder = sim.recorder
-                if recorder is not None:
-                    recorder.on_fetch(wq, wr_index, cursor, slots, wqe,
-                                      wq._last_decode_cached)
-                telemetry = sim.telemetry
-                if telemetry is not None:
-                    telemetry.on_fetch(wq, 1)
+                fetched = [(wqe, wr_index, cursor, slots,
+                            wq._last_decode_cached)]
+                for hook in sim.hooks.fetch:
+                    hook(self.nic, wq, fetch_start, True, fetched)
             return [(wqe, wr_index)]
 
         count = min(wq.fetchable, timing.prefetch_batch)
@@ -141,11 +133,8 @@ class SendQueueDriver:
             yield remaining
         if wq.destroyed:
             return []
-        tracer = sim.tracer if _obs.enabled else None
-        recorder = sim.recorder if _obs.enabled else None
-        telemetry = sim.telemetry if _obs.enabled else None
-        fetch_meta = ([] if (tracer is not None or recorder is not None)
-                      else None)
+        hooks = sim.hooks.fetch if _obs.enabled else ()
+        fetched = [] if hooks else None
         batch = []
         for _ in range(count):
             if wq.fetchable == 0:
@@ -155,21 +144,13 @@ class SendQueueDriver:
             wr_index = wq.fetched_count
             wq.advance_fetch(slots)
             batch.append((wqe, wr_index))
-            if fetch_meta is not None:
-                fetch_meta.append((cursor, slots, wq._last_decode_cached))
+            if fetched is not None:
+                fetched.append((wqe, wr_index, cursor, slots,
+                                wq._last_decode_cached))
         self.stats["fetch_batches"] += 1
         self.stats["fetch_prefetched"] += len(batch)
-        if tracer is not None:
-            tracer.fetch_span(self.nic, wq, fetch_start, len(batch), False)
-            for (wqe, wr_index), (cursor, slots, cached) in zip(
-                    batch, fetch_meta):
-                tracer.wqe_fetched(wq, wr_index, cursor, slots, wqe, cached)
-        if recorder is not None:
-            for (wqe, wr_index), (cursor, slots, cached) in zip(
-                    batch, fetch_meta):
-                recorder.on_fetch(wq, wr_index, cursor, slots, wqe, cached)
-        if telemetry is not None and batch:
-            telemetry.on_fetch(wq, len(batch))
+        for hook in hooks:
+            hook(self.nic, wq, fetch_start, False, fetched)
         return batch
 
     # -- execute path -----------------------------------------------------------
@@ -190,15 +171,8 @@ class SendQueueDriver:
         nic_stats[op_name] += 1
         nic_stats["total_wrs"] += 1
         if _obs.enabled:
-            tracer = sim.tracer
-            if tracer is not None:
-                tracer.execute_begin(wq, wr_index, wqe)
-            recorder = sim.recorder
-            if recorder is not None:
-                recorder.on_exec(wq, wr_index, wqe)
-            telemetry = sim.telemetry
-            if telemetry is not None:
-                telemetry.on_exec(wq)
+            for hook in sim.hooks.exec:
+                hook(wq, wr_index, wqe)
 
         if wq.rate_limiter is not None:
             yield from wq.rate_limiter.throttle(1.0)
@@ -211,12 +185,8 @@ class SendQueueDriver:
             yield cq.wait_for_count(wqe.wqe_count)
             yield timing.wait_check_ns
             if _obs.enabled:
-                tracer = sim.tracer
-                if tracer is not None:
-                    tracer.wait_span(wq, wqe, exec_start)
-                recorder = sim.recorder
-                if recorder is not None:
-                    recorder.on_wait(wq, wr_index, wqe, cq)
+                for hook in sim.hooks.wait:
+                    hook(wq, wr_index, wqe, cq, exec_start)
             self._signal_if_requested(wqe, wr_index)
             return
 
@@ -229,12 +199,8 @@ class SendQueueDriver:
             relative = bool(wqe.flags & WrFlags.ENABLE_RELATIVE)
             target.enable(wqe.wqe_count, relative=relative)
             if _obs.enabled:
-                tracer = sim.tracer
-                if tracer is not None:
-                    tracer.enable_event(wq, wqe, relative, target)
-                recorder = sim.recorder
-                if recorder is not None:
-                    recorder.on_enable(wq, wr_index, wqe, relative, target)
+                for hook in sim.hooks.enable:
+                    hook(wq, wr_index, wqe, relative, target)
             self._signal_if_requested(wqe, wr_index)
             return
 
@@ -247,12 +213,8 @@ class SendQueueDriver:
         pu_start = sim.now
         yield from pu.use(timing.occupancy(opcode))
         if _obs.enabled:
-            tracer = sim.tracer
-            if tracer is not None:
-                tracer.pu_span(self.nic, wq, opcode, pu_start)
-            telemetry = sim.telemetry
-            if telemetry is not None:
-                telemetry.on_pu(wq, sim.now - pu_start)
+            for hook in sim.hooks.pu:
+                hook(self.nic, wq, opcode, pu_start)
 
         prev = self._prev_completion
         done = sim.event()
@@ -287,13 +249,8 @@ class SendQueueDriver:
         if not prev.triggered:
             yield prev
         if _obs.enabled:
-            tracer = self.nic.sim.tracer
-            if tracer is not None:
-                tracer.wqe_executed(self.wq, wr_index, wqe, status,
-                                    exec_start)
-            recorder = self.nic.sim.recorder
-            if recorder is not None:
-                recorder.on_done(self.wq, wr_index, wqe, status, byte_len)
+            for hook in self.nic.sim.hooks.done:
+                hook(self.wq, wr_index, wqe, status, byte_len, exec_start)
         if wqe.signaled or status != "OK":
             self._signal(wqe, wr_index, status=status, byte_len=byte_len,
                          immediate=immediate)

@@ -33,7 +33,7 @@ from .. import obs as _obs
 from ..memory.dram import Allocation, HostMemory
 from ..sim.core import Event, Simulator
 from ..sim.resources import Resource, TokenBucket
-from .opcodes import OPCODE_NAMES
+from .opcodes import op_name
 from .wqe import WQE_SLOT_SIZE, Wqe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -64,7 +64,7 @@ class Cqe:
         self.timestamp = timestamp
 
     def __repr__(self) -> str:
-        name = OPCODE_NAMES.get(self.opcode, f"OP{self.opcode:#x}")
+        name = op_name(self.opcode)
         return (f"<Cqe {name} wr_id={self.wr_id:#x} status={self.status}"
                 f" t={self.timestamp}>")
 
@@ -110,15 +110,8 @@ class CompletionQueue:
             return
         self.count += 1
         if _obs.enabled:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.cqe(self, cqe, host_delay_ns)
-            recorder = self.sim.recorder
-            if recorder is not None:
-                recorder.on_cqe(self, cqe)
-            telemetry = self.sim.telemetry
-            if telemetry is not None:
-                telemetry.on_cqe(self)
+            for hook in self.sim.hooks.cqe:
+                hook(self, cqe, host_delay_ns)
         if self._watchers:
             ready = [(n, ev) for n, ev in self._watchers if self.count >= n]
             if ready:
@@ -156,9 +149,6 @@ class CompletionQueue:
         if self._router is not None and self._router is not router:
             raise QueueError(f"{self!r} already has a router attached")
         self._router = router
-
-    def detach_router(self) -> None:
-        self._router = None
 
     def wait_for_count(self, threshold: int) -> Event:
         """Event triggering once ``count >= threshold`` (WAIT verb hook)."""
@@ -275,10 +265,6 @@ class WorkQueue:
         return self.ring.addr + (slot_cursor % self.num_slots) * WQE_SLOT_SIZE
 
     @property
-    def ring_addr(self) -> int:
-        return self.ring.addr
-
-    @property
     def free_slots(self) -> int:
         consumed_slots = self._fetch_slot_cursor
         return self.num_slots - (self._post_slot_cursor - consumed_slots)
@@ -348,15 +334,8 @@ class WorkQueue:
         if _obs.enabled:
             # The posted opcode is the ctrl word's high 16 bits.
             opcode = (data[0] << 8) | data[1]
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.wqe_posted(self, wr_index, cursor, slots, opcode)
-            recorder = self.sim.recorder
-            if recorder is not None:
-                recorder.on_post(self, wr_index, cursor, slots, opcode)
-            telemetry = self.sim.telemetry
-            if telemetry is not None:
-                telemetry.on_post(self)
+            for hook in self.sim.hooks.post:
+                hook(self, wr_index, cursor, slots, opcode)
         if ring_doorbell is None:
             ring_doorbell = not self.managed
         if ring_doorbell:
@@ -376,15 +355,8 @@ class WorkQueue:
         """
         target = self.posted_count if up_to is None else up_to
         if _obs.enabled:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.doorbell(self, target)
-            recorder = self.sim.recorder
-            if recorder is not None:
-                recorder.on_doorbell(self, target)
-            telemetry = self.sim.telemetry
-            if telemetry is not None:
-                telemetry.on_doorbell(self)
+            for hook in self.sim.hooks.doorbell:
+                hook(self, target)
         delay = self.doorbell_delay_ns + extra_delay_ns
         if delay > 0:
             self.sim.schedule_at(self.sim.now + delay,
@@ -629,10 +601,8 @@ class DoorbellBatcher:
         if _obs.enabled:
             sim = self.wq.sim
             hold_since = self._hold_since or sim.now
-            tracer = sim.tracer
-            if tracer is not None:
-                tracer.doorbell_batch(self.wq, count, hold_since,
-                                      extra_delay_ns)
+            for hook in sim.hooks.doorbell_batch:
+                hook(self.wq, count, hold_since, extra_delay_ns)
             blame = self.blame
             if blame is not None:
                 # Hold window (first suppressed post -> this flush)

@@ -109,12 +109,8 @@ class RNIC:
         cq = CompletionQueue(self.sim, next(self._cq_nums), name=name)
         self.cqs[cq.cq_num] = cq
         if _obs.enabled:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.cq_created(self, cq)
-            recorder = self.sim.recorder
-            if recorder is not None:
-                recorder.cq_created(self, cq)
+            for hook in self.sim.hooks.cq_created:
+                hook(self, cq)
         return cq
 
     def create_wq(self, kind: str, num_slots: int, cq: CompletionQueue,
@@ -135,12 +131,8 @@ class RNIC:
         wq.doorbell_batch_entry_ns = self.timing.doorbell_batch_entry_ns
         self.wqs[wq.wq_num] = wq
         if _obs.enabled:
-            tracer = self.sim.tracer
-            if tracer is not None:
-                tracer.wq_created(self, wq)
-            recorder = self.sim.recorder
-            if recorder is not None:
-                recorder.wq_created(self, wq)
+            for hook in self.sim.hooks.wq_created:
+                hook(self, wq)
         if kind == "send":
             driver = SendQueueDriver(self, wq)
             self._drivers[wq.wq_num] = driver
@@ -188,14 +180,3 @@ class RNIC:
 
     def port_of(self, wq: WorkQueue) -> Port:
         return self.ports[wq.port_index]
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def destroy_qp(self, qp: QueuePair) -> None:
-        qp.destroy()
-
-    def shutdown(self) -> None:
-        """Stop the device (used only by tests; NICs outlive OS crashes)."""
-        self.alive = False
-        for wq in self.wqs.values():
-            wq.destroy()

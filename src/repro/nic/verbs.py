@@ -90,9 +90,8 @@ class VerbExecutor:
         if latency > 0:
             yield latency
         if _obs.enabled:
-            tracer = nic.sim.tracer
-            if tracer is not None:
-                tracer.wire_span(nic, src_qp.peer.nic, nbytes, start)
+            for hook in nic.sim.hooks.wire:
+                hook(nic, src_qp.peer.nic, nbytes, start)
 
     def _dma_txn(self, nic: "RNIC", kind: str, ns: int) -> Generator:
         """One posted/non-posted DMA transaction latency (a dma span)."""
@@ -101,9 +100,8 @@ class VerbExecutor:
         start = nic.sim.now
         yield ns
         if _obs.enabled:
-            tracer = nic.sim.tracer
-            if tracer is not None:
-                tracer.dma_txn(nic, kind, start)
+            for hook in nic.sim.hooks.dma_txn:
+                hook(nic, kind, start)
 
     def _dma_in(self, nic: "RNIC", nbytes: int) -> Generator:
         """Initiator/responder DMA of a payload across PCIe (gather)."""
@@ -112,12 +110,8 @@ class VerbExecutor:
             start = nic.sim.now
             yield from nic.pcie.use(cost)
             if _obs.enabled:
-                tracer = nic.sim.tracer
-                if tracer is not None:
-                    tracer.dma_span(nic, nbytes, start)
-                telemetry = nic.sim.telemetry
-                if telemetry is not None:
-                    telemetry.on_dma(nic, nbytes)
+                for hook in nic.sim.hooks.dma:
+                    hook(nic, nbytes, start)
 
     def _scatter_bytes(self, nic: "RNIC", data: bytes,
                        sges: List[Sge], laddr: int, length: int) -> int:
@@ -249,9 +243,8 @@ class VerbExecutor:
             recv_wq.advance_fetch(slots)
             engine.release(fetch_grant)
             if _obs.enabled:
-                telemetry = rnic.sim.telemetry
-                if telemetry is not None:
-                    telemetry.on_fetch(recv_wq, 1)
+                for hook in rnic.sim.hooks.recv_fetch:
+                    hook(recv_wq, 1)
         finally:
             recv_wq.consume_lock.release(grant)
         written = byte_len
@@ -288,21 +281,16 @@ class VerbExecutor:
         else:
             original = rnic.memory.fetch_add_u64(wqe.raddr, wqe.operand0)
         if _obs.enabled:
-            tracer = nic.sim.tracer
-            if tracer is not None:
-                tracer.atomic(rnic, wqe, original)
-            recorder = nic.sim.recorder
-            if recorder is not None:
-                recorder.on_atomic(rnic, qp.send_wq.name, wqe, original)
+            for hook in nic.sim.hooks.atomic:
+                hook(rnic, qp.send_wq, wqe, original)
         port.atomic_unit.release(grant)
         # Remaining PCIe-atomic transaction latency happens off-unit.
         remaining = timing.atomic_pcie_ns - timing.atomic_unit_ns
         if remaining > 0:
             yield remaining
         if _obs.enabled:
-            tracer = nic.sim.tracer
-            if tracer is not None:
-                tracer.dma_txn(rnic, "atomic", txn_start)
+            for hook in nic.sim.hooks.dma_txn:
+                hook(rnic, "atomic", txn_start)
         yield from self._traverse(peer, 8)  # original value returns
         if wqe.laddr:
             nic.memory.write_u64(wqe.laddr, original)

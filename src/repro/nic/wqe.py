@@ -31,7 +31,7 @@ import struct as _struct
 from typing import List, Optional, Tuple
 
 from ..memory.layout import Struct, mask
-from .opcodes import OPCODE_NAMES, Opcode, WrFlags
+from .opcodes import Opcode, WrFlags, op_name
 
 __all__ = [
     "WQE_SLOT_SIZE",
@@ -211,7 +211,7 @@ class Wqe:
             raise ValueError(f"too many SGEs: {len(self.sges)} > {MAX_SGE}")
 
     def __repr__(self) -> str:
-        name = OPCODE_NAMES.get(self.opcode, f"OP{self.opcode:#x}")
+        name = op_name(self.opcode)
         return (f"<Wqe {name} id={self.wr_id:#x} laddr={self.laddr:#x} "
                 f"len={self.length} raddr={self.raddr:#x} "
                 f"flags={self.flags:#x}>")

@@ -57,27 +57,36 @@ root-cause report ranking implicated (shard, queue, phase) — see
 Fast path
 ---------
 
-Instrumentation sites across the simulator are guarded by the
-module-level :data:`enabled` flag::
+Every instrumentation site in the simulator is one guarded loop over
+its simulator's hook table (:class:`Hooks`, ``sim.hooks``)::
 
     from .. import obs as _obs
     ...
     if _obs.enabled:
-        tracer = sim.tracer
-        if tracer is not None:
-            tracer.wqe_fetched(...)
+        for hook in sim.hooks.exec:
+            hook(wq, wr_index, wqe)
 
-When no tracer exists anywhere in the process the entire cost of the
+The table holds, per hook name in :data:`HOOKS`, a tuple of the bound
+``on_<name>`` methods of the sim's attached sinks, in the fixed order
+tracer, recorder, telemetry; a sink that does not define a hook is not
+in its tuple, so no no-op calls are made. :func:`attach` and
+:func:`detach` are the one place that sets the ``sim.tracer`` /
+``sim.recorder`` / ``sim.telemetry`` handles and rebuilds the table.
+
+When no sink is attached anywhere in the process the entire cost of the
 instrumentation is one module-attribute load and a branch — the
-BENCH_simspeed perf gate runs with tracing off and is unaffected.
-Attaching a :class:`Tracer` flips the flag; detaching the last one
-clears it.
+BENCH_simspeed perf gate runs with every sink off and is unaffected.
+Attaching any sink flips the flag; detaching the last one clears it.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "enabled",
+    "HOOKS",
+    "Hooks",
+    "attach",
+    "detach",
     "Tracer",
     "export_merged_chrome",
     "MetricsRegistry",
@@ -149,21 +158,152 @@ __all__ = [
 #: in the simulator reduces to one attribute load and a branch.
 enabled = False
 
-_active_tracers = 0
+#: Every hook an instrumentation site fires. A sink subscribes by
+#: defining ``on_<name>``; DESIGN.md ("The hook table") lists each
+#: hook's arguments and which sink implements it.
+HOOKS = (
+    # NIC object lifecycle and RedN code regions
+    "wq_created", "cq_created", "code_region",
+    # queue plane
+    "post", "doorbell", "doorbell_batch", "cqe",
+    # NIC fetch/execute pipeline and its data path
+    "fetch", "recv_fetch", "exec", "wait", "enable", "pu", "done",
+    "atomic", "wire", "dma", "dma_txn",
+    # connection plane, shard fabric and request level
+    "cqe_demux", "stale_cqe", "pool_acquire", "pool_wait", "link_send",
+    "offload_call", "request", "serviced",
+)
+
+#: Sink kinds in dispatch order; each names the Simulator attribute that
+#: holds the sim's one sink of that kind.
+SINK_KINDS = ("tracer", "recorder", "telemetry")
 
 
-def _activate() -> None:
-    """Register one live tracer (flips :data:`enabled` on)."""
-    global enabled, _active_tracers
-    _active_tracers += 1
+class Hooks:
+    """One simulator's hook table: a tuple of bound sink methods per hook."""
+
+    __slots__ = HOOKS
+
+    def __init__(self, sinks=()):
+        for name in HOOKS:
+            method = "on_" + name
+            setattr(self, name, tuple(getattr(sink, method)
+                                      for sink in sinks
+                                      if hasattr(sink, method)))
+
+
+#: The shared empty table every Simulator starts with.
+NO_HOOKS = Hooks()
+
+_attached = 0
+
+
+def attach(sim, kind: str, sink) -> None:
+    """Make ``sink`` the sim's one ``kind`` sink (flips :data:`enabled` on).
+
+    Raises if the sim already has a sink of that kind.
+    """
+    global enabled, _attached
+    current = getattr(sim, kind, None)
+    if current is not None:
+        if kind == "telemetry":
+            raise RuntimeError(f"simulator already has a telemetry "
+                               f"collector ({current!r})")
+        raise ValueError(f"{sim!r} already has a {kind} attached")
+    setattr(sim, kind, sink)
+    _rebuild(sim)
+    _attached += 1
     enabled = True
 
 
-def _deactivate() -> None:
-    """Unregister one tracer; the flag clears with the last one."""
-    global enabled, _active_tracers
-    _active_tracers = max(0, _active_tracers - 1)
-    enabled = _active_tracers > 0
+def detach(sim, kind: str, sink) -> bool:
+    """Detach ``sink`` if it is the sim's ``kind`` sink; returns whether
+    it was. :data:`enabled` clears with the last sink in the process."""
+    global enabled, _attached
+    if getattr(sim, kind, None) is not sink:
+        return False
+    setattr(sim, kind, None)
+    _rebuild(sim)
+    _attached -= 1
+    enabled = _attached > 0
+    return True
+
+
+def _rebuild(sim) -> None:
+    sinks = [getattr(sim, kind, None) for kind in SINK_KINDS]
+    sim.hooks = Hooks([sink for sink in sinks if sink is not None])
+
+
+class RegionSink:
+    """DRAM bookkeeping shared by the tracer and the flight recorder.
+
+    Both watch stores into *annotated* regions (WQE rings, RedN code)
+    through one store hook per memory and annotate every ring the NIC
+    creates. Subclasses set ``kind`` and define ``attach_nic`` and
+    ``_region_store`` (one store that hit an annotated region).
+    """
+
+    kind = ""
+
+    def __init__(self, sim):
+        attach(sim, self.kind, self)
+        self.sim = sim
+        self._nics_seen: set = set()
+        self._memories: list = []
+        # Annotated regions per memory: sorted [(start, end, label)].
+        self._regions: dict = {}
+
+    def close(self) -> None:
+        """Detach from the simulator and its memories."""
+        if detach(self.sim, self.kind, self):
+            for memory, hook in self._memories:
+                memory.remove_store_hook(hook)
+            self._memories.clear()
+
+    def attach_memory(self, memory) -> None:
+        """Install the DRAM store hook (stores into annotated regions)."""
+        if id(memory) in self._regions:
+            return
+        self._regions[id(memory)] = []
+
+        def hook(addr: int, length: int, _memory=memory) -> None:
+            self._dram_store(_memory, addr, length)
+
+        memory.add_store_hook(hook)
+        self._memories.append((memory, hook))
+
+    def _dram_store(self, memory, addr: int, length: int) -> None:
+        end = addr + length
+        for start, stop, label in self._regions.get(id(memory), ()):
+            if start >= end:
+                return
+            if stop > addr:
+                self._region_store(memory, label, addr, length)
+                return
+
+    def annotate_region(self, memory, addr: int, size: int,
+                        label: str) -> None:
+        """Mark [addr, addr+size) as interesting: stores get observed."""
+        self.attach_memory(memory)
+        regions = self._regions[id(memory)]
+        for start, end, _ in regions:
+            if start == addr and end == addr + size:
+                return
+        regions.append((addr, addr + size, label))
+        regions.sort()
+
+    # -- NIC object lifecycle hooks -----------------------------------------
+
+    def on_wq_created(self, nic, wq) -> None:
+        self._queue_created(nic, wq, "wq")
+        self.annotate_region(wq.memory, wq.ring.addr, wq.ring.size,
+                             f"ring:{wq.name}")
+
+    def on_cq_created(self, nic, cq) -> None:
+        self._queue_created(nic, cq, "cq")
+
+    def _queue_created(self, nic, queue, kind: str) -> None:
+        self.attach_nic(nic)
 
 
 # Submodules are imported lazily so that the hot-path guard above can

@@ -43,10 +43,10 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..nic.opcodes import OPCODE_NAMES, Opcode
-from . import _activate, _deactivate
+from ..nic.opcodes import Opcode, op_name
+from . import RegionSink
 
 __all__ = [
     "JOURNAL_SCHEMA",
@@ -88,10 +88,6 @@ class ReplayDivergence(JournalError):
         self.seq = seq
         self.expected = expected
         self.actual = actual
-
-
-def _op_name(opcode: int) -> str:
-    return OPCODE_NAMES.get(opcode, f"OP{opcode:#x}")
 
 
 def _digest(data) -> str:
@@ -236,8 +232,10 @@ class InvariantMonitor:
 # -- the recorder ---------------------------------------------------------
 
 
-class FlightRecorder:
+class FlightRecorder(RegionSink):
     """Bounded causal journal of one simulation; one per Simulator."""
+
+    kind = "recorder"
 
     def __init__(self, sim, name: str = "journal",
                  capacity: int = 1 << 16,
@@ -245,14 +243,12 @@ class FlightRecorder:
                  verify: Optional["Journal"] = None,
                  stop_at: Optional[Dict[str, Any]] = None,
                  monitor: bool = True):
-        if getattr(sim, "recorder", None) is not None:
-            raise ValueError(f"{sim!r} already has a recorder attached")
         if capacity < 1:
             raise ValueError(f"capacity {capacity} < 1")
         if checkpoint_interval < 1:
             raise ValueError(
                 f"checkpoint_interval {checkpoint_interval} < 1")
-        self.sim = sim
+        super().__init__(sim)
         self.name = name
         self.capacity = capacity
         self.checkpoint_interval = checkpoint_interval
@@ -273,12 +269,6 @@ class FlightRecorder:
         self.stopped = False
         # Attachment bookkeeping.
         self._nics: List = []
-        self._nics_seen: set = set()
-        self._memories: List[Tuple[Any, Callable]] = []
-        # Annotated regions per memory: sorted [(start, end, label)].
-        self._regions: Dict[int, List[Tuple[int, int, str]]] = {}
-        sim.recorder = self
-        _activate()
 
     def __repr__(self) -> str:
         return (f"<FlightRecorder {self.name} seq={self.seq} "
@@ -293,22 +283,13 @@ class FlightRecorder:
     def violations(self) -> List[Dict[str, Any]]:
         return self.monitor.violations if self.monitor else []
 
-    def close(self) -> None:
-        """Detach from the simulator and its memories."""
-        if getattr(self.sim, "recorder", None) is self:
-            self.sim.recorder = None
-            for memory, hook in self._memories:
-                memory.remove_store_hook(hook)
-            self._memories.clear()
-            _deactivate()
-
     # -- attachment --------------------------------------------------------
 
     def attach_nic(self, nic) -> None:
         """Cover a NIC: journal its ring stores, checkpoint its queues.
 
         Queues the NIC creates later are picked up automatically via
-        the ``wq_created``/``cq_created`` factory hooks.
+        the ``wq_created``/``cq_created`` hooks.
         """
         if id(nic) in self._nics_seen:
             return
@@ -319,82 +300,39 @@ class FlightRecorder:
             self.annotate_region(nic.memory, wq.ring.addr, wq.ring.size,
                                  f"ring:{wq.name}")
 
-    def attach_memory(self, memory) -> None:
-        """Install the DRAM store hook (stores into annotated regions)."""
-        if id(memory) in self._regions:
-            return
-        self._regions[id(memory)] = []
-
-        def hook(addr: int, length: int, _memory=memory) -> None:
-            self._dram_store(_memory, addr, length)
-
-        memory.add_store_hook(hook)
-        self._memories.append((memory, hook))
-
-    def annotate_region(self, memory, addr: int, size: int,
-                        label: str) -> None:
-        """Mark [addr, addr+size) as causal: stores get journaled and
-        the region's digest joins every checkpoint."""
-        self.attach_memory(memory)
-        regions = self._regions[id(memory)]
-        for start, end, _ in regions:
-            if start == addr and end == addr + size:
-                return
-        regions.append((addr, addr + size, label))
-        regions.sort()
-
-    # -- NIC object lifecycle (called by RNIC factories) --------------------
-
-    def wq_created(self, nic, wq) -> None:
-        self.attach_nic(nic)
-        self.annotate_region(nic.memory, wq.ring.addr, wq.ring.size,
-                             f"ring:{wq.name}")
-
-    def cq_created(self, nic, cq) -> None:
-        self.attach_nic(nic)
-
     # -- hook methods (called from instrumented NIC code) -------------------
 
     def on_post(self, wq, wr_index: int, slot_cursor: int, slots: int,
                 opcode: int) -> None:
-        if self.stopped:
-            return
         gens, data = wq.slot_state(slot_cursor, slots)
         self._emit({"kind": "post", "wq": wq.name,
                     "wq_num": wq.wq_num, "wr": wr_index,
                     "slot": slot_cursor % wq.num_slots, "slots": slots,
                     "addr": wq.slot_addr(slot_cursor),
-                    "op": _op_name(opcode), "wqe": data.hex(),
+                    "op": op_name(opcode), "wqe": data.hex(),
                     "gens": list(gens)})
 
     def on_doorbell(self, wq, up_to: int) -> None:
-        if self.stopped:
-            return
         self._emit({"kind": "doorbell", "wq": wq.name,
                     "wq_num": wq.wq_num, "up_to": up_to})
 
-    def on_fetch(self, wq, wr_index: int, slot_cursor: int, slots: int,
-                 wqe, cache_hit: bool) -> None:
-        if self.stopped:
-            return
-        gens, data = wq.slot_state(slot_cursor, slots)
-        self._emit({"kind": "fetch", "wq": wq.name,
-                    "wq_num": wq.wq_num, "wr": wr_index,
-                    "slot": slot_cursor % wq.num_slots, "slots": slots,
-                    "addr": wq.slot_addr(slot_cursor),
-                    "op": _op_name(wqe.opcode), "wqe": data.hex(),
-                    "gens": list(gens), "cache": bool(cache_hit)})
+    def on_fetch(self, nic, wq, start_ns: int, managed: bool,
+                 fetched: List[Tuple]) -> None:
+        for wqe, wr_index, slot_cursor, slots, cache_hit in fetched:
+            gens, data = wq.slot_state(slot_cursor, slots)
+            self._emit({"kind": "fetch", "wq": wq.name,
+                        "wq_num": wq.wq_num, "wr": wr_index,
+                        "slot": slot_cursor % wq.num_slots,
+                        "slots": slots, "addr": wq.slot_addr(slot_cursor),
+                        "op": op_name(wqe.opcode), "wqe": data.hex(),
+                        "gens": list(gens), "cache": bool(cache_hit)})
 
     def on_exec(self, wq, wr_index: int, wqe) -> None:
-        if self.stopped:
-            return
         self._emit({"kind": "exec", "wq": wq.name,
                     "wq_num": wq.wq_num, "wr": wr_index,
-                    "op": _op_name(wqe.opcode), "len": wqe.length})
+                    "op": op_name(wqe.opcode), "len": wqe.length})
 
-    def on_wait(self, wq, wr_index: int, wqe, cq) -> None:
-        if self.stopped:
-            return
+    def on_wait(self, wq, wr_index: int, wqe, cq, start_ns: int) -> None:
         self._emit({"kind": "wait", "wq": wq.name,
                     "wq_num": wq.wq_num, "wr": wr_index,
                     "cq": wqe.target, "threshold": wqe.wqe_count,
@@ -403,8 +341,6 @@ class FlightRecorder:
 
     def on_enable(self, wq, wr_index: int, wqe, relative: bool,
                   target) -> None:
-        if self.stopped:
-            return
         self._emit({"kind": "enable", "wq": wq.name,
                     "wq_num": wq.wq_num, "wr": wr_index,
                     "target": wqe.target, "count": wqe.wqe_count,
@@ -412,56 +348,39 @@ class FlightRecorder:
                     "target_name": target.name if target else None,
                     "signaled": bool(wqe.signaled)})
 
-    def on_done(self, wq, wr_index: int, wqe, status: str,
-                byte_len: int) -> None:
-        if self.stopped:
-            return
+    def on_done(self, wq, wr_index: int, wqe, status: str, byte_len: int,
+                start_ns: int) -> None:
         self._emit({"kind": "done", "wq": wq.name,
                     "wq_num": wq.wq_num, "wr": wr_index,
-                    "op": _op_name(wqe.opcode), "status": status,
+                    "op": op_name(wqe.opcode), "status": status,
                     "len": byte_len, "signaled": bool(wqe.signaled)})
 
-    def on_cqe(self, cq, cqe) -> None:
-        if self.stopped:
-            return
+    def on_cqe(self, cq, cqe, host_delay_ns: int) -> None:
         self._emit({"kind": "cqe", "cq": cq.name, "cq_num": cq.cq_num,
-                    "count": cq.count, "op": _op_name(cqe.opcode),
+                    "count": cq.count, "op": op_name(cqe.opcode),
                     "wr_id": cqe.wr_id, "status": cqe.status,
                     "wq_num": cqe.wq_num})
 
-    def on_atomic(self, nic, src_wq_name: str, wqe,
-                  original: int) -> None:
-        if self.stopped:
-            return
-        record = {"kind": "atomic", "nic": nic.name,
-                  "src": src_wq_name, "op": _op_name(wqe.opcode),
-                  "raddr": wqe.raddr, "op0": wqe.operand0,
-                  "op1": wqe.operand1, "orig": original}
+    def on_atomic(self, nic, wq, wqe, original: int) -> None:
+        record = {"kind": "atomic", "nic": nic.name, "src": wq.name,
+                  "op": op_name(wqe.opcode), "raddr": wqe.raddr,
+                  "op0": wqe.operand0, "op1": wqe.operand1,
+                  "orig": original}
         if wqe.opcode == Opcode.CAS:
             record["swapped"] = original == wqe.operand0
         self._emit(record)
 
-    def _dram_store(self, memory, addr: int, length: int) -> None:
-        if self.stopped:
-            return
-        regions = self._regions.get(id(memory))
-        if not regions:
-            return
-        end = addr + length
-        for start, stop, label in regions:
-            if start >= end:
-                break
-            if stop > addr:
-                self._emit({"kind": "store", "mem": memory.name,
-                            "region": label, "addr": addr,
-                            "len": length,
-                            "digest": _digest(
-                                memory.view(addr, length))})
-                return
+    def _region_store(self, memory, label: str, addr: int,
+                      length: int) -> None:
+        self._emit({"kind": "store", "mem": memory.name, "region": label,
+                    "addr": addr, "len": length,
+                    "digest": _digest(memory.view(addr, length))})
 
     # -- emission core -----------------------------------------------------
 
     def _emit(self, record: Dict[str, Any]) -> None:
+        if self.stopped:
+            return
         record["seq"] = self.seq
         record["ts"] = self.sim.now
         if self.monitor is not None:

@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from . import _activate, _deactivate
+from . import attach, detach
 from .metrics import Histogram
 
 __all__ = ["DEFAULT_WINDOW_NS", "TelemetryCollector", "FleetTelemetry",
@@ -71,10 +71,11 @@ def _hot(depth_max: Dict[str, int]):
 class TelemetryCollector:
     """Per-bed windowed sampler, attached as ``sim.telemetry``.
 
-    Hook methods are called from instrumentation sites behind the
-    ``repro.obs.enabled`` flag; each rolls the window first (finalizing
-    the previous one with its pre-update state) and then applies its
-    update, so end-of-window gauges are consistent.
+    Its ``on_<hook>`` methods run from the sim's hook table
+    (``repro.obs.Hooks``) behind the ``repro.obs.enabled`` flag; each
+    rolls the window first (finalizing the previous one with its
+    pre-update state) and then applies its update, so end-of-window
+    gauges are consistent.
     """
 
     __slots__ = ("fleet", "sim", "bed", "shard", "window_ns", "finalized",
@@ -223,48 +224,57 @@ class TelemetryCollector:
         if depth > wmax.get(name, 0):
             wmax[name] = depth
 
-    def on_post(self, wq) -> None:
+    def on_post(self, wq, wr_index: int, slot_cursor: int, slots: int,
+                opcode: int) -> None:
         self._touch()
         self._posts += 1
         self._bump_depth(wq.kind, wq.name, 1)
 
-    def on_doorbell(self, wq) -> None:
+    def on_doorbell(self, wq, up_to: int) -> None:
         self._touch()
         self._doorbells += 1
 
-    def on_fetch(self, wq, count: int) -> None:
+    def on_fetch(self, nic, wq, start_ns: int, managed: bool,
+                 fetched: list) -> None:
+        if fetched:
+            self.on_recv_fetch(wq, len(fetched))
+
+    def on_recv_fetch(self, wq, count: int) -> None:
         self._touch()
         self._fetches += count
         self._bump_depth(wq.kind, wq.name, -count)
 
-    def on_exec(self, wq) -> None:
+    def on_exec(self, wq, wr_index: int, wqe) -> None:
         self._touch()
         self._wrs += 1
 
-    def on_pu(self, wq, busy_ns: int) -> None:
+    def on_pu(self, nic, wq, opcode: int, start_ns: int) -> None:
         self._touch()
-        self._pu_busy += busy_ns
+        self._pu_busy += self.sim.now - start_ns
 
-    def on_cqe(self, cq) -> None:
+    def on_cqe(self, cq, cqe, host_delay_ns: int) -> None:
         self._touch()
         self._cqes += 1
         depth = len(cq._entries) + 1  # the CQE being delivered included
         if depth > self._cq_wmax.get(cq.name, 0):
             self._cq_wmax[cq.name] = depth
 
-    def on_dma(self, nic, nbytes: int) -> None:
+    def on_dma(self, nic, nbytes: int, start_ns: int) -> None:
         self._touch()
         self._dma_bytes += nbytes
 
-    def on_pool_wait(self, pool, wait_ns: int) -> None:
+    def on_pool_acquire(self, pool, wait_ns: int) -> None:
         """One QP-pool lease acquisition waited ``wait_ns`` (0 = free)."""
         self._touch()
         self._pool_wait.observe(wait_ns)
         self.sim.metrics.histogram("telemetry.pool_wait_ns").observe(
             wait_ns)
 
-    def request_complete(self, latency_ns: int, key=None,
-                         blame=None) -> None:
+    def on_offload_call(self, conn, start_ns: int, ok: bool,
+                        byte_len: int) -> None:
+        self.on_request(self.sim.now - start_ns)
+
+    def on_request(self, latency_ns: int, key=None, blame=None) -> None:
         """A client-visible request finished with the given latency.
 
         ``blame`` is the request's :class:`repro.obs.blame.RequestBlame`
@@ -286,12 +296,12 @@ class TelemetryCollector:
                 self._exemplars.sort(key=exemplar_order)
                 del self._exemplars[self.exemplar_k:]
 
-    def on_stale_cqe(self, cq) -> None:
+    def on_stale_cqe(self, cq, cqe) -> None:
         """The shared-CQ demux quarantined one stale CQE."""
         self._touch()
         self._stale_cqes += 1
 
-    def serviced(self) -> None:
+    def on_serviced(self) -> None:
         """A frontend finished servicing one inbound request."""
         self._touch()
         self._serviced += 1
@@ -331,16 +341,12 @@ class FleetTelemetry:
     def attach(self, sim, bed: str = "", shard: Optional[int] = None
                ) -> TelemetryCollector:
         """Admit one bed's simulator; flips the obs fast-path flag on."""
-        if sim.telemetry is not None:
-            raise RuntimeError(f"simulator already has a telemetry "
-                               f"collector ({sim.telemetry!r})")
         index = len(self.collectors)
         collector = TelemetryCollector(
             self, sim, bed or f"bed{index}",
             shard if shard is not None else index)
-        sim.telemetry = collector
+        attach(sim, "telemetry", collector)
         self.collectors.append(collector)
-        _activate()
         return collector
 
     def subscribe(self, observer) -> None:
@@ -401,9 +407,7 @@ class FleetTelemetry:
             return
         self._closed = True
         for collector in self.collectors:
-            if collector.sim.telemetry is collector:
-                collector.sim.telemetry = None
-            _deactivate()
+            detach(collector.sim, "telemetry", collector)
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(record, sort_keys=True) + "\n"

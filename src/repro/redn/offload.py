@@ -168,22 +168,13 @@ class OffloadClient:
                 data = memory.read(self.conn.response_addr, cqe.byte_len) \
                     if cqe.byte_len else b""
                 if _obs.enabled:
-                    tracer = self.sim.tracer
-                    if tracer is not None:
-                        tracer.offload_call(self.conn, start, True,
-                                            len(data))
-                    telemetry = self.sim.telemetry
-                    if telemetry is not None:
-                        telemetry.request_complete(self.sim.now - start)
+                    for hook in self.sim.hooks.offload_call:
+                        hook(self.conn, start, True, len(data))
                 return CallResult(True, data, cqe.immediate,
                                   self.sim.now - start)
             if deadline.triggered:
                 if _obs.enabled:
-                    tracer = self.sim.tracer
-                    if tracer is not None:
-                        tracer.offload_call(self.conn, start, False, 0)
-                    telemetry = self.sim.telemetry
-                    if telemetry is not None:
-                        telemetry.request_complete(self.sim.now - start)
+                    for hook in self.sim.hooks.offload_call:
+                        hook(self.conn, start, False, 0)
                 return CallResult(False, latency_ns=self.sim.now - start)
             yield self.sim.any_of([cq.wait_for_event(), deadline])

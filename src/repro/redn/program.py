@@ -128,11 +128,9 @@ class ChainQueue:
         self.code_mr: MemoryRegion = ctx.pd.register(
             self.wq.ring, access=AccessFlags.ALL)
         if _obs.enabled:
-            tracer = ctx.nic.sim.tracer
-            if tracer is not None:
-                tracer.annotate_region(ctx.memory, self.wq.ring.addr,
-                                       self.wq.ring.size,
-                                       f"code:{name}")
+            for hook in ctx.nic.sim.hooks.code_region:
+                hook(ctx.memory, self.wq.ring.addr, self.wq.ring.size,
+                     f"code:{name}")
         self.refs: List[WrRef] = []
         #: Signaled completions expected on this queue's CQ after each
         #: posted WR — the numbers WAIT thresholds are computed from.

@@ -45,6 +45,8 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
+from ..obs import NO_HOOKS
+
 __all__ = [
     "Simulator",
     "Event",
@@ -340,10 +342,6 @@ class Process(Event):
         state = "done" if self.triggered else "running"
         return f"<Process {self.name} {state}>"
 
-    @property
-    def is_alive(self) -> bool:
-        return not self.triggered
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 
@@ -496,16 +494,17 @@ class Simulator:
         #: Processes that died with an unhandled exception. Inspect (or
         #: assert empty) in tests — failures never crash the kernel.
         self.failed_processes: List["Process"] = []
-        #: Attached :class:`repro.obs.Tracer`, or None. The kernel never
-        #: touches it; instrumented device models check it behind the
-        #: ``repro.obs.enabled`` module flag.
+        #: The attached obs sinks (:class:`repro.obs.Tracer`,
+        #: :class:`repro.obs.FlightRecorder`,
+        #: :class:`repro.obs.telemetry.TelemetryCollector`), or None;
+        #: set only by ``repro.obs.attach``/``detach``.
         self.tracer = None
-        #: Attached :class:`repro.obs.recorder.FlightRecorder`, or None
-        #: — same contract as ``tracer``.
         self.recorder = None
-        #: Attached :class:`repro.obs.telemetry.TelemetryCollector`, or
-        #: None — same contract as ``tracer``.
         self.telemetry = None
+        #: Hook table of those sinks (``repro.obs.Hooks``). The kernel
+        #: never touches it; instrumented device models loop over it
+        #: behind the ``repro.obs.enabled`` module flag.
+        self.hooks = NO_HOOKS
         self._metrics = None
 
     # -- scheduling ------------------------------------------------------
@@ -572,9 +571,9 @@ class Simulator:
     def metrics(self):
         """This simulation's :class:`~repro.obs.MetricsRegistry`.
 
-        Created lazily (and imported lazily, keeping the kernel free of
-        package dependencies) with the kernel counters pre-registered
-        as gauges — the loop keeps bumping bare ints; the registry
+        Created lazily (and imported lazily: the kernel itself loads
+        only the dependency-free ``repro.obs`` package root) with the
+        kernel counters pre-registered as gauges — the loop keeps bumping bare ints; the registry
         samples them only at snapshot time.
         """
         registry = self._metrics

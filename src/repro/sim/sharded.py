@@ -174,10 +174,8 @@ class ShardFabric:
             (arrival, src, seq, mailbox, payload))
         self.messages_sent += 1
         if _obs.enabled:
-            tracer = self._sims[src].tracer
-            if tracer is not None:
-                tracer.link_send(src, channel.dst_index, mailbox,
-                                 arrival)
+            for hook in self._sims[src].hooks.link_send:
+                hook(src, channel.dst_index, mailbox, arrival)
         return arrival
 
     def pending_floor(self, dst_index: int) -> Optional[int]:

@@ -182,7 +182,7 @@ def test_window_keeps_top_k_with_deterministic_ties():
         for seq, latency in enumerate([300, 700, 700, 700, 100]):
             yield 1
             blame = RequestBlame(0, seq, seq, sim.now - latency)
-            collector.request_complete(latency, blame=blame)
+            collector.on_request(latency, blame=blame)
         yield 10_000
 
     sim.process(driver(), name="driver")
@@ -208,7 +208,7 @@ def test_exemplar_pool_is_pruned_between_flushes():
         for seq in range(40):
             blame = RequestBlame(0, seq, seq, sim.now)
             yield 10
-            collector.request_complete(10, blame=blame)
+            collector.on_request(10, blame=blame)
 
     sim.process(driver(), name="driver")
     sim.run()

@@ -10,6 +10,8 @@ import pytest
 from repro import obs
 from repro.ibv import wr_fetch_add, wr_noop, wr_wait, wr_write
 from repro.obs import (
+    FleetTelemetry,
+    FlightRecorder,
     Histogram,
     MetricsRegistry,
     Tracer,
@@ -22,6 +24,7 @@ from repro.obs import (
 )
 from repro.obs.inspect import render_track_summary
 from repro.redn import ProgramBuilder, RecycledLoop, RednContext
+from repro.sim import Simulator
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -267,6 +270,104 @@ class TestTracerLifecycle:
         tracer.close()
         tracer.close()
         assert obs.enabled is False
+
+
+# -- the hook seam ----------------------------------------------------------
+
+
+class _CqeOnlySink:
+    """A sink that subscribes to exactly one hook."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_cqe(self, cq, cqe, host_delay_ns):
+        self.calls.append((cq.name, cqe.wr_id))
+
+
+def _cqe_total(lo):
+    return sum(cq.count for cq in lo.nic.cqs.values())
+
+
+class TestHookSeam:
+    def test_sink_is_called_only_at_the_hooks_it_defines(self, lo):
+        sink = _CqeOnlySink()
+        obs.attach(lo.sim, "tracer", sink)
+        try:
+            assert lo.sim.hooks.cqe == (sink.on_cqe,)
+            assert all(getattr(lo.sim.hooks, name) == ()
+                       for name in obs.HOOKS if name != "cqe")
+            before = _cqe_total(lo)
+            drive_write_chain(lo, count=3)
+            assert len(sink.calls) == _cqe_total(lo) - before == 3
+        finally:
+            assert obs.detach(lo.sim, "tracer", sink)
+        assert lo.sim.hooks.cqe == ()
+        assert not obs.enabled
+
+    def test_dispatch_order_is_fixed_whatever_the_attach_order(self, lo):
+        fleet = FleetTelemetry(window_ns=10_000)
+        collector = fleet.attach(lo.sim, bed="lo")
+        recorder = FlightRecorder(lo.sim)
+        tracer = Tracer(lo.sim)
+        try:
+            hooks = lo.sim.hooks
+            assert hooks.cqe == (tracer.on_cqe, recorder.on_cqe,
+                                 collector.on_cqe)
+            assert hooks.fetch == (tracer.on_fetch, recorder.on_fetch,
+                                   collector.on_fetch)
+            # Single-sink hooks: traces and journals gain no records.
+            assert hooks.code_region == (tracer.on_code_region,)
+            assert hooks.recv_fetch == (collector.on_recv_fetch,)
+        finally:
+            tracer.close()
+            recorder.close()
+            fleet.close()
+        assert lo.sim.hooks.cqe == ()
+
+    @pytest.mark.parametrize("last", ["tracer", "recorder", "telemetry"])
+    def test_enabled_clears_with_the_last_sink_of_any_kind(self, last):
+        sims = [Simulator(), Simulator()]
+        fleet = FleetTelemetry(window_ns=10_000)
+        for index, sim in enumerate(sims):
+            fleet.attach(sim, bed=f"bed{index}")
+        closers = {"tracer": Tracer(sims[0]).close,
+                   "recorder": FlightRecorder(sims[1]).close,
+                   "telemetry": fleet.close}
+        order = [kind for kind in closers if kind != last] + [last]
+        for kind in order:
+            assert obs.enabled
+            closers[kind]()
+        assert not obs.enabled
+        for sim in sims:
+            assert (sim.tracer, sim.recorder, sim.telemetry) == (
+                None, None, None)
+            assert all(getattr(sim.hooks, name) == ()
+                       for name in obs.HOOKS)
+
+    def test_second_sink_of_a_kind_is_rejected(self, lo):
+        tracer = Tracer(lo.sim)
+        recorder = FlightRecorder(lo.sim)
+        fleet = FleetTelemetry(window_ns=10_000)
+        collector = fleet.attach(lo.sim, bed="lo")
+        try:
+            hooks = lo.sim.hooks
+            with pytest.raises(ValueError, match="already has a tracer"):
+                Tracer(lo.sim)
+            with pytest.raises(ValueError,
+                               match="already has a recorder"):
+                FlightRecorder(lo.sim)
+            with pytest.raises(RuntimeError,
+                               match="already has a telemetry collector"):
+                FleetTelemetry().attach(lo.sim)
+            assert lo.sim.hooks is hooks
+            assert (lo.sim.tracer, lo.sim.recorder, lo.sim.telemetry) == (
+                tracer, recorder, collector)
+        finally:
+            tracer.close()
+            recorder.close()
+            fleet.close()
+        assert not obs.enabled
 
 
 class TestTracerEvents:

@@ -14,7 +14,15 @@ determinism discipline:
 The flight recorder (``repro.obs.recorder``) is held to the same bar:
 off / traced / recorded runs must agree bit-for-bit, and two recorded
 runs must dump byte-identical journals.
+
+Sinks are isolated from each other: each sink's output is byte-identical
+whether it runs alone or beside the other two, in every attach order,
+and its sha256 is pinned, so a refactor of the instrumentation seam
+cannot silently change any artifact.
 """
+
+import hashlib
+import itertools
 
 import pytest
 
@@ -38,27 +46,36 @@ def build_rig():
     return sim, memory, nic, pd, qp_a, qp_b, verbs
 
 
+SINKS = ("tracer", "recorder", "telemetry")
+
+
 def run_scenario(trace: bool, record: bool = False,
-                 telemetry: bool = False):
+                 telemetry: bool = False, order=SINKS):
     """A mixed workload: recycled self-modifying loop + WRITE chain.
 
-    Returns (trace_json_or_None, fingerprint) — or, with ``record``
-    (``telemetry``), the journal (telemetry) JSONL instead.
+    Returns (outputs, fingerprint): ``outputs`` maps each attached sink
+    kind to its output — the tracer's Chrome JSON, the recorder's
+    journal JSONL, the telemetry window JSONL. The selected sinks are
+    attached in ``order``.
     """
     sim, memory, nic, pd, qp_a, qp_b, verbs = build_rig()
     tracer = None
     recorder = None
     fleet = None
-    if trace:
-        tracer = Tracer(sim, name="det")
-        tracer.attach_nic(nic)
-    if record:
-        recorder = FlightRecorder(sim, name="det",
-                                  checkpoint_interval=16)
-        recorder.attach_nic(nic)
-    if telemetry:
-        fleet = FleetTelemetry(window_ns=10_000)
-        fleet.attach(sim, bed="det")
+    wanted = {"tracer": trace, "recorder": record, "telemetry": telemetry}
+    for kind in order:
+        if not wanted[kind]:
+            continue
+        if kind == "tracer":
+            tracer = Tracer(sim, name="det")
+            tracer.attach_nic(nic)
+        elif kind == "recorder":
+            recorder = FlightRecorder(sim, name="det",
+                                      checkpoint_interval=16)
+            recorder.attach_nic(nic)
+        else:
+            fleet = FleetTelemetry(window_ns=10_000)
+            fleet.attach(sim, bed="det")
 
     ctx = RednContext(nic, pd, owner="det", name="detctx")
     builder = ProgramBuilder(ctx, name="det-loop")
@@ -94,19 +111,19 @@ def run_scenario(trace: bool, record: bool = False,
         tuple(sorted(nic.stats.items())),
         memory.read(dst.addr, 64),
     )
-    text = None
+    outputs = {}
     if tracer is not None:
-        text = tracer.to_json()
+        outputs["tracer"] = tracer.to_json()
         tracer.close()
     if recorder is not None:
-        text = recorder.to_jsonl()
+        outputs["recorder"] = recorder.to_jsonl()
         assert recorder.violations == []
         recorder.close()
     if fleet is not None:
         fleet.finalize()
-        text = fleet.to_jsonl()
+        outputs["telemetry"] = fleet.to_jsonl()
         fleet.close()
-    return text, fingerprint
+    return outputs, fingerprint
 
 
 def test_double_run_traces_byte_identical():
@@ -145,7 +162,7 @@ def test_telemetry_off_traced_telemetry_triple_identical():
     _, all_three = run_scenario(trace=True, record=True, telemetry=True)
     assert off == traced == with_telemetry == again == all_three
     assert first == second
-    assert first  # the stream actually carries window records
+    assert first["telemetry"]  # the stream actually carries records
 
 
 def test_double_run_journals_byte_identical():
@@ -156,9 +173,49 @@ def test_double_run_journals_byte_identical():
 
 
 def test_trace_records_expected_race_count():
-    text, _ = run_scenario(trace=True)
+    outputs, _ = run_scenario(trace=True)
+    text = outputs["tracer"]
     # 3 loop laps -> 3 wqe_count self-modifications, embedded in the
     # serialized trace itself (the double-run test compares bytes, so
     # pin down that the bytes carry the interesting content too).
     assert text.count('"self_mod"') == 3
     assert text.count('"stale_wqe"') == 0
+
+
+#: sha256 of each sink's output for this scenario. Any change to these
+#: is a change to a user-visible artifact and must say why.
+PINNED_SHA256 = {
+    "tracer":
+        "e5aba80a3911995626f3251991398c95440fcc6d6d330e9152c21ceaab62e474",
+    "recorder":
+        "98d6487f115ad9c71c8c352bdd143de95e2dd9832804286672356afb6d485fe1",
+    "telemetry":
+        "57ac8f71bbdbb54f0cd528e92cea6ed579b56a48536ff991d5f44ff80d5fd416",
+}
+
+
+@pytest.fixture(scope="module")
+def alone():
+    """Each sink's output from a run where it is the only sink."""
+    outputs = {}
+    for kind in SINKS:
+        flags = {"trace": kind == "tracer", "record": kind == "recorder",
+                 "telemetry": kind == "telemetry"}
+        run_outputs, _ = run_scenario(**flags)
+        assert list(run_outputs) == [kind]
+        outputs.update(run_outputs)
+    return outputs
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(SINKS)),
+                         ids="-".join)
+def test_sink_output_independent_of_other_sinks(alone, order):
+    together, _ = run_scenario(trace=True, record=True, telemetry=True,
+                               order=order)
+    assert together == alone
+
+
+def test_sink_outputs_match_pinned_digests(alone):
+    digests = {kind: hashlib.sha256(text.encode()).hexdigest()
+               for kind, text in alone.items()}
+    assert digests == PINNED_SHA256

@@ -176,9 +176,9 @@ def test_windows_sparse_not_zero_filled(fleet):
     sim = _StubSim()
     collector = fleet.attach(sim, bed="b")
     sim.now = 100
-    collector.request_complete(40, key="k")
+    collector.on_request(40, key="k")
     sim.now = 5_500  # windows 1-4 idle -> no records for them
-    collector.request_complete(40, key="k")
+    collector.on_request(40, key="k")
     records = fleet.finalize()
     assert [record["window"] for record in records] == [0, 5]
     assert records[0]["keys"] == {"k": 1}
@@ -190,13 +190,13 @@ def test_depth_clamped_and_growth_signed(fleet):
     collector = fleet.attach(sim, bed="b")
     sq = _WQ("b-sq")
     for _ in range(3):
-        collector.on_post(sq)
+        collector.on_post(sq, 0, 0, 1, 0)
     # A managed recycled ring can fetch past posted_count: clamp at 0.
-    collector.on_fetch(sq, 5)
+    collector.on_fetch(None, sq, 0, False, [None] * 5)
     sim.now = 1_200
-    collector.on_fetch(sq, 1)
+    collector.on_fetch(None, sq, 0, False, [None])
     sim.now = 2_100
-    collector.on_post(sq)
+    collector.on_post(sq, 0, 0, 1, 0)
     records = fleet.finalize()
     w0, w1, w2 = records
     assert w0["queues"] == {
@@ -212,15 +212,15 @@ def test_flush_seals_exactly_below_floor(fleet):
     collector = fleet.attach(sim, bed="b")
     sink = io.StringIO()
     fleet.sink = sink
-    collector.request_complete(10)
+    collector.on_request(10)
     sim.now = 2_500
-    collector.request_complete(10)
+    collector.on_request(10)
     # t_min 2_000 proves windows < 2 final: window 0 emits, the open
     # window 2 must survive (more samples can still land in it).
     emitted = fleet.flush(t_min=2_000)
     assert [record["window"] for record in emitted] == [0]
     sim.now = 2_900
-    collector.request_complete(10)
+    collector.on_request(10)
     fleet.finalize()
     assert [record["window"] for record in fleet.records] == [0, 2]
     assert fleet.records[1]["requests"] == 2
@@ -232,9 +232,9 @@ def test_cqe_and_pu_accounting(fleet):
     sim = _StubSim()
     collector = fleet.attach(sim, bed="b")
     sim.now = 150
-    collector.on_cqe(_CQ("b-cq", entries=2))
-    collector.on_pu(_WQ("b-sq"), 420)
-    collector.on_dma(None, 4096)
+    collector.on_cqe(_CQ("b-cq", entries=2), None, 0)
+    collector.on_pu(None, _WQ("b-sq"), 0, sim.now - 420)
+    collector.on_dma(None, 4096, sim.now)
     (record,) = fleet.finalize()
     assert record["queues"]["cq_depth_max"] == 3  # 2 queued + delivered
     assert record["queues"]["cq_hot"] == "b-cq"
@@ -246,10 +246,10 @@ def test_cqe_and_pu_accounting(fleet):
 def test_summarize_merges_windows(fleet):
     sim = _StubSim()
     collector = fleet.attach(sim, bed="b")
-    collector.request_complete(100, key="hot")
+    collector.on_request(100, key="hot")
     sim.now = 1_100
-    collector.request_complete(9_000, key="hot")
-    collector.request_complete(100, key="cold")
+    collector.on_request(9_000, key="hot")
+    collector.on_request(100, key="cold")
     records = fleet.finalize()
     summary = summarize_records(records)["b"]
     assert summary["requests"] == 3
@@ -307,10 +307,10 @@ def test_burn_alert_fires_at_deterministic_timestamp(fleet):
     sq = _WQ("bed-x-sq")
     for window in range(8):
         sim.now = window * 1_000 + 500
-        collector.on_post(sq)
-        collector.on_fetch(sq, 1)
+        collector.on_post(sq, 0, 0, 1, 0)
+        collector.on_fetch(None, sq, 0, False, [None])
         latency = 50 if window < 4 else 5_000  # breach from window 4
-        collector.request_complete(latency)
+        collector.on_request(latency)
     sim.now = 9_000
     records = fleet.finalize()
 
@@ -341,9 +341,9 @@ def test_burn_alert_fires_at_deterministic_timestamp(fleet):
 def test_gap_windows_count_good(fleet):
     sim = _StubSim()
     collector = fleet.attach(sim, bed="b")
-    collector.request_complete(5_000)  # bad window 0
+    collector.on_request(5_000)  # bad window 0
     sim.now = 4_500
-    collector.request_complete(5_000)  # bad window 4, gap 1-3 good
+    collector.on_request(5_000)  # bad window 4, gap 1-3 good
     records = fleet.finalize()
     strict = SloRule("strict", "p99_ns", max=100, budget=1.0,
                      long_windows=2, short_windows=2)
