@@ -202,16 +202,10 @@ def summarize_blame(records: List[dict]) -> Dict[str, Any]:
     ``--diff`` between two summaries can attribute the p99 delta to
     the phase/shard means that moved.
     """
-    from .metrics import Histogram
+    from .telemetry import latency_rollup
 
     exemplars = exemplars_of(records)
-    latency = Histogram()
-    requests = 0
-    for record in records:
-        requests += record.get("requests", 0)
-        snap = record.get("latency")
-        if snap:
-            latency.merge(Histogram.from_snapshot(snap))
+    requests, p99_ns = latency_rollup(records)
     phase_totals = {phase: 0 for phase in BLAME_PHASES}
     shard_totals: Dict[str, int] = {}
     for exemplar in exemplars:
@@ -225,7 +219,7 @@ def summarize_blame(records: List[dict]) -> Dict[str, Any]:
     return {
         "requests": requests,
         "exemplars": count,
-        "p99_ns": latency.quantile(0.99) if latency.count else None,
+        "p99_ns": p99_ns,
         "exemplar_latency_sum_ns": total,
         "phases": {
             phase: {

@@ -42,20 +42,30 @@ skew attribution. ``tools/fleet_top.py`` renders all of it.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import attach, detach
 from .metrics import Histogram
 
 __all__ = ["DEFAULT_WINDOW_NS", "TelemetryCollector", "FleetTelemetry",
            "SloRule", "BurnAlert", "load_slo_rules", "evaluate_slo",
-           "summarize_records"]
+           "summarize_records", "load_records", "latency_rollup"]
 
 #: Default telemetry window width. 20 us spans hundreds of NIC events
 #: per busy bed yet gives the ~265 us cluster run a dozen-point series.
 DEFAULT_WINDOW_NS = 20_000
 
 _QUANTILES = (("p50", 0.50), ("p99", 0.99), ("p999", 0.999))
+
+
+def _digest(histogram: Histogram) -> Optional[dict]:
+    """A histogram's snapshot plus p50/p99/p999; ``None`` when empty."""
+    if not histogram.count:
+        return None
+    digest = histogram.snapshot()
+    for label, fraction in _QUANTILES:
+        digest[label] = histogram.quantile(fraction)
+    return digest
 
 
 def _hot(depth_max: Dict[str, int]):
@@ -155,11 +165,6 @@ class TelemetryCollector:
     def _finalize_window(self) -> None:
         window = self._window
         window_ns = self.window_ns
-        latency = None
-        if self._latency.count:
-            latency = self._latency.snapshot()
-            for label, fraction in _QUANTILES:
-                latency[label] = self._latency.quantile(fraction)
         sq_max, sq_hot = _hot(self._depth_wmax["send"])
         rq_max, _rq_hot = _hot(self._depth_wmax["recv"])
         cq_max, cq_hot = _hot(self._cq_wmax)
@@ -179,7 +184,7 @@ class TelemetryCollector:
             "dma_bytes": self._dma_bytes,
             "requests": self._requests,
             "serviced": self._serviced,
-            "latency": latency,
+            "latency": _digest(self._latency),
             "queues": {
                 "sq_depth_max": sq_max,
                 "sq_hot": sq_hot,
@@ -200,10 +205,7 @@ class TelemetryCollector:
         if self._keys:
             record["keys"] = dict(sorted(self._keys.items()))
         if self._pool_wait.count:
-            pool_wait = self._pool_wait.snapshot()
-            for label, fraction in _QUANTILES:
-                pool_wait[label] = self._pool_wait.quantile(fraction)
-            record["pool_wait"] = pool_wait
+            record["pool_wait"] = _digest(self._pool_wait)
         if self._exemplars:
             # Top-k slowest requests of the window, deterministically:
             # larger latency first, ties by smaller (shard, seq).
@@ -417,6 +419,27 @@ class FleetTelemetry:
 # -- stream post-processing -----------------------------------------------
 
 
+def load_records(path: str) -> List[dict]:
+    """Parse a JSONL window stream; blank lines are skipped.
+
+    Raises ``OSError`` for an unreadable file and ``ValueError`` for a
+    malformed line.
+    """
+    with open(path) as handle:
+        return [json.loads(line) for line in handle if line.strip()]
+
+
+def latency_rollup(records: List[dict]) -> Tuple[int, Optional[int]]:
+    """(total requests, merged-latency p99 or ``None``) over records."""
+    latency = Histogram()
+    requests = 0
+    for record in records:
+        requests += record.get("requests", 0)
+        if record.get("latency"):
+            latency.merge(Histogram.from_snapshot(record["latency"]))
+    return requests, latency.quantile(0.99) if latency.count else None
+
+
 def metric_value(record: dict, metric: str):
     """Extract a named derived signal from one window record.
 
@@ -491,24 +514,12 @@ def summarize_records(records: List[dict]) -> Dict[str, dict]:
             pool_hists[bed].merge(
                 Histogram.from_snapshot(record["pool_wait"]))
     for bed, summary in beds.items():
-        histogram = hists[bed]
         span = summary["last_window"] - summary["first_window"] + 1
         window_ns = records[0]["end_ns"] - records[0]["start_ns"]
         summary["util"] = round(
             summary["pu_busy_ns"] / (span * window_ns), 6)
-        summary["latency"] = None
-        if histogram.count:
-            latency = histogram.snapshot()
-            for label, fraction in _QUANTILES:
-                latency[label] = histogram.quantile(fraction)
-            summary["latency"] = latency
-        summary["pool_wait"] = None
-        pool_hist = pool_hists[bed]
-        if pool_hist.count:
-            pool_wait = pool_hist.snapshot()
-            for label, fraction in _QUANTILES:
-                pool_wait[label] = pool_hist.quantile(fraction)
-            summary["pool_wait"] = pool_wait
+        summary["latency"] = _digest(hists[bed])
+        summary["pool_wait"] = _digest(pool_hists[bed])
         summary["keys"] = dict(sorted(
             summary["keys"].items(),
             key=lambda item: (-item[1], item[0])))

@@ -5,20 +5,22 @@ Four pillars:
 * **Detector semantics on synthetic streams** — each anomaly detector
   must fire at the violating window's *end* timestamp, stay silent
   through the warmup windows, and stay silent on streams that merely
-  look like startup ramp or drain.
+  look like startup ramp or drain; each threshold row fires exactly at
+  its threshold and stays silent one step below.
 * **Incident grouping** — time-correlated anomalies merge into one
-  incident under ``merge_gap``; a later, unrelated anomaly opens a
+  incident under ``MERGE_GAP``; a later, unrelated anomaly opens a
   second incident.
 * **Fault scenarios end to end** — the storm must produce exactly one
   incident whose top cause names the contended shard's PU, the
   failover must name the killed shard, the clean run must stay silent,
   and every report must be **byte-identical** between the sharded and
-  serial drives and across repeat runs.
+  serial drives, across repeat runs, and to a pinned sha256.
 * **Typed failure surfaces** — :class:`FleetError` names the
   implicated beds and dead processes, and
   :meth:`HashRing.without` preserves surviving shards' ownership.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -54,6 +56,18 @@ def _rec(window, shard=0, requests=10, sq_growth=0, rq_depth=0,
         record["stale_cqes"] = stale
     if pool_p99 is not None:
         record["pool_wait"] = {"buckets": {}, "p99": pool_p99}
+    return record
+
+
+def _without(record, *paths):
+    """``record`` with the dotted ``paths`` (e.g. ``queues.sq_growth``)
+    deleted — a window stream written before that field existed."""
+    for path in paths:
+        *parents, leaf = path.split(".")
+        target = record
+        for key in parents:
+            target = target[key]
+        del target[leaf]
     return record
 
 
@@ -125,6 +139,68 @@ def test_pu_pool_and_stale_detectors():
     assert _fired(sentry, "stale_cqe")[0].queue == "shard0-cq"
 
 
+def _spec_rec(window, spec):
+    """``_rec(window, **spec)`` minus the dotted paths in ``spec['drop']``."""
+    spec = dict(spec)
+    drop = spec.pop("drop", ())
+    return _without(_rec(window, **spec), *drop)
+
+
+# Per-record threshold boundaries: eight baseline windows (past the
+# warmup), then one probe window. A value exactly at the threshold
+# fires; one step below stays silent. ``drop`` deletes fields, pinning
+# the missing-field defaults.
+SQ_GONE = {"drop": ("queues.sq_growth",)}
+BOUNDARIES = [
+    # queue_growth: >= 32 WRs and >= 2x max(trailing max, 1).
+    ("sq-floor", "queue_growth", "sq_growth", {}, {"sq_growth": 32},
+     {"sq_growth": 31}),
+    ("sq-factor", "queue_growth", "sq_growth", {"sq_growth": 20},
+     {"sq_growth": 40}, {"sq_growth": 39}),
+    ("sq-base-missing-reads-0", "queue_growth", "sq_growth", SQ_GONE,
+     {"sq_growth": 32}, {"sq_growth": 31}),
+    ("rq-fallback-sq-missing", "queue_growth", "rq_depth_max", SQ_GONE,
+     {"rq_depth": 32, **SQ_GONE}, {"rq_depth": 31, **SQ_GONE}),
+    # pu_saturation: the 0.6 floor against 2.5x max(trailing max, 0.01).
+    ("util-floor", "pu_saturation", "util", {"util": 0.2}, {"util": 0.6},
+     {"util": 0.59}),
+    ("util-factor", "pu_saturation", "util", {"util": 0.32},
+     {"util": 0.8}, {"util": 0.79}),
+    # pool_pressure: >= 3000 ns and >= 3x max(trailing max, 1).
+    ("pool-base-missing-reads-0", "pool_pressure", "pool_wait_p99_ns", {},
+     {"pool_p99": 3000}, {"pool_p99": 2999}),
+    ("pool-factor", "pool_pressure", "pool_wait_p99_ns",
+     {"pool_p99": 1500}, {"pool_p99": 4500}, {"pool_p99": 4499}),
+    # stale_cqe: >= 1 and strictly above the trailing max.
+    ("stale-base-missing-reads-0", "stale_cqe", "stale_cqes", {},
+     {"stale": 1}, {"stale": 0}),
+    ("stale-strict", "stale_cqe", "stale_cqes", {"stale": 2},
+     {"stale": 3}, {"stale": 2}),
+    # tail_step: >= trailing max + 20 us and >= 3x max(trailing max, 1).
+    ("tail-step", "tail_step", "p99_ns", {}, {"p99": 8191 + 20_000},
+     {"p99": 8191 + 19_999}),
+    ("tail-factor", "tail_step", "p99_ns", {"p99": 20_000},
+     {"p99": 60_000}, {"p99": 59_999}),
+    ("tail-min-requests", "tail_step", "p99_ns", {},
+     {"p99": 2 ** 20, "requests": 6}, {"p99": 2 ** 20, "requests": 5}),
+    ("tail-p999-fallback", "tail_step", "p999_ns", {},
+     {"p99": 8191 + 20_000, "drop": ("latency.p99",)},
+     {"p99": 8191 + 19_999, "drop": ("latency.p99",)}),
+]
+
+
+@pytest.mark.parametrize(
+    "detector, metric, base, at, below",
+    [case[1:] for case in BOUNDARIES], ids=[case[0] for case in BOUNDARIES])
+def test_threshold_boundary(detector, metric, base, at, below):
+    for probe, fires in ((at, True), (below, False)):
+        sentry = FleetSentry(W)
+        _feed(sentry, [_spec_rec(w, base) for w in range(8)])
+        sentry.observe(_spec_rec(8, probe))
+        fired = [(a.metric, a.at_ns) for a in _fired(sentry, detector)]
+        assert fired == ([(metric, 9 * W)] if fires else []), probe
+
+
 def test_flatline_fires_once_while_fleet_stays_busy():
     sentry = FleetSentry(W)
     for w in range(8):
@@ -135,7 +211,7 @@ def test_flatline_fires_once_while_fleet_stays_busy():
     flat = _fired(sentry, "flatline")
     assert len(flat) == 1                # once per shard, not per window
     assert flat[0].shard == 1
-    # last_seen window 7 + flatline_gap 3 = completed window 10.
+    # last_seen window 7 + FLATLINE_GAP 3 = completed window 10.
     assert flat[0].window == 10 and flat[0].at_ns == 11 * W
 
 
@@ -194,7 +270,7 @@ def test_incidents_merge_within_gap_and_split_beyond():
     for w in range(10, 14):                  # collapse: windows 10..13
         sentry.observe(_rec(w, shard=0, requests=1))
         sentry.observe(_rec(w, shard=1, requests=1))
-    for w in range(14, 22):                  # quiet > merge_gap
+    for w in range(14, 22):                  # quiet > MERGE_GAP
         sentry.observe(_rec(w, shard=0))
         sentry.observe(_rec(w, shard=1))
     sentry.observe(_rec(22, shard=1, sq_growth=64))   # unrelated spike
@@ -234,6 +310,46 @@ def storm_runs():
             run_triage("storm", serial=True, capture=False))
 
 
+@pytest.fixture(scope="module")
+def capture_run():
+    return run_triage("storm")
+
+
+@pytest.fixture(scope="module")
+def failover_runs():
+    return (run_triage("failover", capture=False),
+            run_triage("failover", serial=True, capture=False))
+
+
+@pytest.fixture(scope="module")
+def clean_run():
+    return run_triage("clean", capture=False)
+
+
+#: sha256 of ``run_triage(...).report_json`` for each scenario run this
+#: module makes (CPython 3.11). Any change to these is a change to a
+#: user-visible artifact and must say why.
+PINNED_REPORT_SHA256 = {
+    "storm":
+        "d3c555216c1b3b57a146c892287efde31d543e1352c18c926d76e7cf4da1a57b",
+    "storm_capture":
+        "55dd3fa72c992f2868a32301eb925b66eddaea52712bb51f1a1c1a699970ccd1",
+    "failover":
+        "d8477bb9afa72e3b704d26173c6c3d929cc82958e48b099724e58534d4551bd7",
+    "clean":
+        "e5e292579c6c61267c9dca207d9d51bf2ec300405b8621b38402272d8ddc34d2",
+}
+
+
+def test_incident_reports_match_pinned_digests(storm_runs, capture_run,
+                                               failover_runs, clean_run):
+    runs = {"storm": storm_runs[0], "storm_capture": capture_run,
+            "failover": failover_runs[0], "clean": clean_run}
+    digests = {name: hashlib.sha256(run.report_json.encode()).hexdigest()
+               for name, run in runs.items()}
+    assert digests == PINNED_REPORT_SHA256
+
+
 def test_storm_single_incident_blames_contended_pu(storm_runs):
     run = storm_runs[0]
     verdict = run.verdict
@@ -266,9 +382,8 @@ def test_storm_detects_across_window_widths(storm_runs):
     assert wide.report_json == again.report_json
 
 
-def test_failover_names_killed_shard_and_ring_movement():
-    run = run_triage("failover", capture=False)
-    serial = run_triage("failover", serial=True, capture=False)
+def test_failover_names_killed_shard_and_ring_movement(failover_runs):
+    run, serial = failover_runs
     assert run.report_json == serial.report_json
     verdict = run.verdict
     assert verdict["incidents"] == 1
@@ -281,16 +396,16 @@ def test_failover_names_killed_shard_and_ring_movement():
     assert top["detector"] == "flatline" and top["shard"] == fault["shard"]
 
 
-def test_clean_run_raises_zero_incidents():
-    run = run_triage("clean", capture=False)
+def test_clean_run_raises_zero_incidents(clean_run):
+    run = clean_run
     assert run.report["anomalies_total"] == 0
     assert run.report["incidents"] == []
     assert run.verdict["false_positives"] == []
     assert run.verdict["mean_detection_ns"] is None
 
 
-def test_storm_capture_slices_the_implicated_bed():
-    run = run_triage("storm")
+def test_storm_capture_slices_the_implicated_bed(capture_run):
+    run = capture_run
     incident = run.report["incidents"][0]
     capture = incident["capture"]
     assert capture is not None

@@ -37,16 +37,6 @@ for path in (str(SRC), str(REPO_ROOT / "tools")):
         sys.path.insert(0, path)
 
 
-def load_records(path: str):
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
 def run_cluster(args):
     from repro.bench.cluster import build_cluster
 
@@ -155,7 +145,8 @@ def main(argv=None) -> int:
         parser.error("--exemplars requires --fleet")
 
     from repro.obs.telemetry import (DEFAULT_WINDOW_NS, evaluate_slo,
-                                     load_slo_rules, summarize_records)
+                                     load_records, load_slo_rules,
+                                     summarize_records)
 
     if args.beds is None:
         args.beds = 8 if args.fleet else 16

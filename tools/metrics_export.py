@@ -68,16 +68,13 @@ def main(argv=None) -> int:
         labels[key] = value
 
     if args.blame:
-        import json
-
         from repro.obs import blame_registries, to_openmetrics_multi
+        from repro.obs.telemetry import load_records
         if labels:
             parser.error("--label does not combine with --blame "
                          "(samples are shard-labeled already)")
         try:
-            with open(args.blame) as handle:
-                records = [json.loads(line) for line in handle
-                           if line.strip()]
+            records = load_records(args.blame)
         except (OSError, ValueError) as exc:
             print(f"metrics_export: cannot read {args.blame}: {exc}",
                   file=sys.stderr)

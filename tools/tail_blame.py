@@ -47,16 +47,6 @@ for path in (str(SRC), str(REPO_ROOT / "tools")):
 DEFAULT_EXEMPLARS = 8
 
 
-def load_records(path: str):
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
 def run_fleet(args):
     from repro.bench.fleet import build_fleet
 
@@ -186,6 +176,7 @@ def main(argv=None) -> int:
         return 2
 
     from repro.obs.blame import diff_blame, folded_blame, summarize_blame
+    from repro.obs.telemetry import load_records
 
     if args.input:
         if args.window:
