@@ -42,9 +42,12 @@ class Testbed:
                            nic_ports=nic_ports, streams=self.streams)
         self.clients: List[Host] = []
         self.fabric = Fabric(self.sim)
-        # ``client_memory`` matters when many beds share one process
-        # (the cluster benchmark): the default 256 MB per client host
-        # is real allocated memory, not simulated bookkeeping.
+        # Host DRAM is committed lazily (see repro.memory.dram): a host
+        # costs resident memory only for the pages it writes, whatever
+        # its size. ``client_memory`` still bounds what a client may
+        # allocate and how much address space each bed maps, which
+        # adds up when many beds share one process (the cluster
+        # benchmark).
         client_kwargs = {} if client_memory is None else {
             "memory_size": client_memory}
         for index in range(num_clients):

@@ -1,9 +1,17 @@
 """Simulated host DRAM.
 
 A :class:`HostMemory` is a flat byte-addressable space backed by a
-``bytearray``, with a bump allocator for carving out buffers (work
-queues, hash tables, slabs). Addresses start at a non-zero base so that
-address 0 can serve as a null pointer for linked data structures.
+private anonymous mapping, with a bump allocator for carving out buffers
+(work queues, hash tables, slabs). Addresses start at a non-zero base so
+that address 0 can serve as a null pointer for linked data structures.
+
+The OS commits the mapping lazily: every byte reads as zero until
+written, and a page costs resident memory only once something is
+stored into it. A bed sized like the paper's testbed therefore pays for
+the few megabytes its queues and tables touch, not for the whole
+simulated DRAM. The mapping is ``MAP_PRIVATE``: like heap memory, its
+stores stay private to this process and are copy-on-write across a
+fork.
 
 Ownership: every allocation is tagged with an *owner* string (process
 name). When a process crashes, the OS reclaims its allocations — unless
@@ -16,10 +24,11 @@ OS frees pinned pages.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
-from typing import Dict, List, Optional, Tuple
+import mmap
+from bisect import bisect_right
+from typing import List
 
-from .layout import pack_uint, unpack_uint
+from .layout import pack_uint
 
 __all__ = ["HostMemory", "Allocation", "GenerationRange", "MemoryError_",
            "NULL_ADDR"]
@@ -82,16 +91,6 @@ class GenerationRange:
         return (f"<GenerationRange [{self.start:#x},{self.end:#x}) "
                 f"/{self.granularity}>")
 
-    def bump(self, lo: int, hi: int) -> None:
-        """Bump every chunk overlapping [lo, hi) (pre-clipped bounds)."""
-        granularity = self.granularity
-        start = self.start
-        first = (lo - start) // granularity
-        last = (hi - 1 - start) // granularity
-        gens = self.gens
-        for index in range(first, last + 1):
-            gens[index] += 1
-
 
 class HostMemory:
     """Byte-addressable simulated DRAM with owner-tagged allocations."""
@@ -99,9 +98,13 @@ class HostMemory:
     BASE_ADDR = 0x1000
 
     def __init__(self, size: int = 64 * 1024 * 1024, name: str = "dram"):
+        if not isinstance(size, int) or size <= self.BASE_ADDR:
+            raise MemoryError_(
+                f"DRAM size {size!r} must be an int above {self.BASE_ADDR:#x}")
         self.name = name
         self.size = size
-        self._bytes = bytearray(size)
+        self._bytes = mmap.mmap(-1, size,
+                                flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         self._view = memoryview(self._bytes)
         self._next = self.BASE_ADDR
         self._allocations: List[Allocation] = []
@@ -228,8 +231,8 @@ class HostMemory:
             start = gen_range.start
             if start >= hi:
                 break
-            # GenerationRange.bump inlined: single-chunk writes (one WQE
-            # slot) are the overwhelmingly common case on the post path.
+            # Single-chunk writes (one WQE slot) are the overwhelmingly
+            # common case on the post path.
             granularity = gen_range.granularity
             first = (max(lo, start) - start) // granularity
             last = (min(hi, gen_range.end) - 1 - start) // granularity
@@ -252,8 +255,6 @@ class HostMemory:
 
     def read(self, addr: int, length: int) -> bytes:
         self._check(addr, length)
-        # Slicing the memoryview (not the bytearray) makes this one copy
-        # instead of two — read() backs every payload gather.
         return bytes(self._view[addr:addr + length])
 
     def view(self, addr: int, length: int) -> memoryview:

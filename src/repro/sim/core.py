@@ -408,7 +408,7 @@ class Process(Event):
             else:
                 sim._immediate.append((self._sleep_fire, token))
         elif isinstance(target, Event):
-            # Inlined _wait_on/add_callback: this is the hottest edge in
+            # Inlined add_callback: this is the hottest edge in
             # the kernel (every yield of every process lands here).
             self._waiting_on = target
             if target.triggered:
@@ -452,10 +452,6 @@ class Process(Event):
             # different wait while this sleep was pending.
             return
         self._step(None, None)
-
-    def _wait_on(self, target: Event) -> None:
-        self._waiting_on = target
-        target.add_callback(self._on_event)
 
     def _on_event(self, event: Event) -> None:
         if self.triggered:
@@ -532,20 +528,6 @@ class Simulator:
         heappush(heap, (time, next(self._sequence), callback, payload))
         if len(heap) > self._heap_peak:
             self._heap_peak = len(heap)
-
-    def _queue_callbacks(self, event: Event) -> None:
-        callbacks, event._callbacks = event._callbacks, None
-        if callbacks is None:
-            return
-        immediate = self._immediate
-        if callbacks.__class__ is list:
-            for callback in callbacks:
-                immediate.append((callback, event))
-        else:
-            immediate.append((callbacks, event))
-
-    def _schedule_callback(self, event: Event, callback: Callable) -> None:
-        self._immediate.append((callback, event))
 
     # -- factories -------------------------------------------------------
 

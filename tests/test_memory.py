@@ -1,7 +1,10 @@
 """Unit tests for simulated DRAM, layouts, and registration."""
 
+import os
+
 import pytest
 
+from repro.bench.testbed import Testbed
 from repro.memory import (
     AccessFlags,
     HostMemory,
@@ -185,6 +188,98 @@ class TestHostMemory:
         memory.transfer_ownership(allocation, "hull-parent")
         assert memory.reclaim_owner("child") == []
         assert not allocation.freed
+
+
+def _resident_bytes() -> int:
+    """This process's resident set size, from ``/proc/self/statm``."""
+    try:
+        with open("/proc/self/statm") as statm:
+            resident_pages = int(statm.read().split()[1])
+    except OSError:
+        pytest.skip("/proc/self/statm is not available")
+    return resident_pages * os.sysconf("SC_PAGE_SIZE")
+
+
+class TestLazyDram:
+    """DRAM is committed on first write, and reads as zeros until then."""
+
+    MB = 1 << 20
+
+    @pytest.mark.parametrize("size", [0, -4096, HostMemory.BASE_ADDR,
+                                      float(1 << 20), "1048576"])
+    def test_degenerate_size_rejected(self, size):
+        with pytest.raises(MemoryError_, match="DRAM size"):
+            HostMemory(size=size)
+
+    def test_fresh_dram_is_not_resident(self):
+        before = _resident_bytes()
+        memory = HostMemory(size=256 * self.MB)
+        assert _resident_bytes() - before < 32 * self.MB
+        assert memory.size == 256 * self.MB
+
+    def test_default_testbed_is_not_resident(self):
+        before = _resident_bytes()
+        bed = Testbed()
+        assert _resident_bytes() - before < 32 * self.MB
+        assert bed.server.memory.size == 256 * self.MB
+
+    def test_never_written_memory_reads_zero(self):
+        memory = HostMemory(size=64 * self.MB)
+        last = memory.size - 8
+        for addr in (memory.BASE_ADDR, 32 * self.MB + 3, last):
+            assert memory.read(addr, 8) == bytes(8)
+            assert memory.read_u64(addr) == 0
+            assert bytes(memory.view(addr, 8)) == bytes(8)
+
+    def test_view_is_read_only(self):
+        memory = HostMemory(size=self.MB)
+        allocation = memory.alloc(64)
+        view = memory.view(allocation.addr, 64)
+        with pytest.raises(TypeError):
+            view[0] = 1
+        with pytest.raises(TypeError):
+            view[0:4] = b"redn"
+        assert memory.read(allocation.addr, 64) == bytes(64)
+
+    def test_mutations_bump_generations_and_call_store_hooks(self):
+        memory = HostMemory(size=self.MB)
+        allocation = memory.alloc(256)
+        addr = allocation.addr
+        gen_range = memory.register_generation_range(addr, 256,
+                                                     granularity=64)
+        stores = []
+        memory.add_store_hook(lambda at, length: stores.append((at, length)))
+
+        memory.write(addr + 64, b"\xff" * 8)
+        assert gen_range.gens == [0, 1, 0, 0]
+        memory.fill(addr + 124, 8, 0xAA)
+        assert gen_range.gens == [0, 2, 1, 0]
+        assert memory.compare_and_swap_u64(addr + 136, 0, 5) == 0
+        assert gen_range.gens == [0, 2, 2, 0]
+        # A failed CAS stores nothing, so it bumps and reports nothing.
+        assert memory.compare_and_swap_u64(addr + 136, 0, 6) == 5
+        assert gen_range.gens == [0, 2, 2, 0]
+        assert memory.fetch_add_u64(addr + 192, 3) == 0
+        assert gen_range.gens == [0, 2, 2, 1]
+        memory.free(allocation)
+        assert gen_range.gens == [1, 3, 3, 2]
+        assert memory.read(addr, 256) == b"\xde" * 256
+        assert stores == [(addr + 64, 8), (addr + 124, 8), (addr + 136, 8),
+                          (addr + 192, 8), (addr, 256)]
+
+    def test_out_of_bounds_access_rejected(self):
+        memory = HostMemory(size=self.MB)
+        end = memory.size
+        for access in (lambda: memory.read(end - 4, 8),
+                       lambda: memory.view(end, 1),
+                       lambda: memory.write(end - 1, b"ab"),
+                       lambda: memory.read_u64(end - 7),
+                       lambda: memory.write_u64(end, 1),
+                       lambda: memory.fill(end - 2, 4),
+                       lambda: memory.read(memory.BASE_ADDR - 8, 8),
+                       lambda: memory.write(0, b"x")):
+            with pytest.raises(MemoryError_):
+                access()
 
 
 class TestProtection:
