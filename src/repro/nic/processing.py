@@ -182,8 +182,7 @@ class SendQueueDriver:
             if cq is None:
                 self._signal(wqe, wr_index, status="BAD_WAIT_TARGET")
                 return
-            yield cq.wait_for_count(wqe.wqe_count)
-            yield timing.wait_check_ns
+            yield cq.wait_for_count(wqe.wqe_count, timing.wait_check_ns)
             if _obs.enabled:
                 for hook in sim.hooks.wait:
                     hook(wq, wr_index, wqe, cq, exec_start)
@@ -211,7 +210,7 @@ class SendQueueDriver:
         if pu is None:
             pu = self._pu = self.nic.port_of(wq).pus[wq.pu_index]
         pu_start = sim.now
-        yield from pu.use(timing.occupancy(opcode))
+        yield pu.reserve(timing.occupancy(opcode)) - pu_start
         if _obs.enabled:
             for hook in sim.hooks.pu:
                 hook(self.nic, wq, opcode, pu_start)

@@ -83,7 +83,7 @@ class CompletionQueue:
         self.count = 0                      # monotonic, for WAIT verbs
         self._wait_event_name = f"{self.name}-wait"
         self._entries: Deque[Cqe] = deque()  # host-visible CQEs
-        self._watchers: List[Tuple[int, Event]] = []
+        self._watchers: List[Tuple[int, int, Event]] = []
         self._channel_waiters: Deque[Event] = deque()
         # Optional host-side demux (repro.net.conn.CompletionRouter):
         # when attached, host-visible CQEs are handed to the router
@@ -113,12 +113,16 @@ class CompletionQueue:
             for hook in self.sim.hooks.cqe:
                 hook(self, cqe, host_delay_ns)
         if self._watchers:
-            ready = [(n, ev) for n, ev in self._watchers if self.count >= n]
+            count = self.count
+            ready = [watch for watch in self._watchers if count >= watch[0]]
             if ready:
-                self._watchers = [(n, ev) for n, ev in self._watchers
-                                  if self.count < n]
-                for _n, event in ready:
-                    event.trigger(self.count)
+                self._watchers = [watch for watch in self._watchers
+                                  if count < watch[0]]
+                for _n, delay_ns, event in ready:
+                    if delay_ns:
+                        event.trigger_after(delay_ns, count)
+                    else:
+                        event.trigger(count)
         if host_delay_ns > 0:
             self.sim.schedule_at(self.sim.now + host_delay_ns,
                                  self._deliver_to_host, cqe)
@@ -150,13 +154,21 @@ class CompletionQueue:
             raise QueueError(f"{self!r} already has a router attached")
         self._router = router
 
-    def wait_for_count(self, threshold: int) -> Event:
-        """Event triggering once ``count >= threshold`` (WAIT verb hook)."""
+    def wait_for_count(self, threshold: int, delay_ns: int = 0) -> Event:
+        """Event triggering ``delay_ns`` after ``count >= threshold``.
+
+        A WAIT verb passes its re-arm check time as ``delay_ns``, so
+        the count being reached and the check that follows cost one
+        kernel event, not a wake-up plus a sleep. The event's value is
+        the count at the moment the threshold was reached.
+        """
         event = Event(self.sim, self._wait_event_name)
-        if self.count >= threshold:
-            event.trigger(self.count)
+        if self.count < threshold:
+            self._watchers.append((threshold, delay_ns, event))
+        elif delay_ns:
+            event.trigger_after(delay_ns, self.count)
         else:
-            self._watchers.append((threshold, event))
+            event.trigger(self.count)
         return event
 
     def poll(self) -> Optional[Cqe]:
@@ -252,6 +264,9 @@ class WorkQueue:
         # Per-entry cost of a coalesced multi-WQE doorbell (also set by
         # the adopting RNIC); only a DoorbellBatcher flush charges it.
         self.doorbell_batch_entry_ns: int = 0
+        # The newest scheduled doorbell raise, [when, seq, target],
+        # until it fires; later doorbells may widen it (see doorbell).
+        self._pending_raise: Optional[list] = None
 
     def __repr__(self) -> str:
         return (f"<WQ {self.name} {self.kind} posted={self.posted_count} "
@@ -358,11 +373,28 @@ class WorkQueue:
             for hook in self.sim.hooks.doorbell:
                 hook(self, target)
         delay = self.doorbell_delay_ns + extra_delay_ns
-        if delay > 0:
-            self.sim.schedule_at(self.sim.now + delay,
-                                 self._raise_enabled, target)
-        else:
+        if delay <= 0:
             self._raise_enabled(target)
+            return
+        sim = self.sim
+        when = sim.now + delay
+        pending = self._pending_raise
+        if (pending is not None and pending[0] == when
+                and pending[1] == sim.last_seq):
+            # This queue's raise for the same instant is the newest
+            # heap push: the two would run back to back, so widening
+            # the first is the same schedule with one event fewer.
+            if target > pending[2]:
+                pending[2] = target
+            return
+        pending = self._pending_raise = [when, 0, target]
+        sim.schedule_at(when, self._raise_pending, pending)
+        pending[1] = sim.last_seq
+
+    def _raise_pending(self, pending: list) -> None:
+        if self._pending_raise is pending:
+            self._pending_raise = None
+        self._raise_enabled(pending[2])
 
     def enable(self, value: int, relative: bool = False) -> None:
         """ENABLE verb entry point: raise the fetch limit from the NIC."""

@@ -29,7 +29,7 @@ from .. import obs as _obs
 from ..memory.dram import HostMemory
 from ..memory.region import ProtectionDomain
 from ..sim.core import Simulator
-from ..sim.resources import Resource
+from ..sim.resources import Lane, Resource
 from .models import CONNECTX5, DeviceModel
 from .processing import SendQueueDriver
 from .qp import QueuePair
@@ -47,12 +47,15 @@ class Port:
                  num_pus: int):
         self.nic = nic
         self.index = index
-        self.wire = Resource(sim, 1, name=f"{nic.name}-p{index}-wire")
+        # Units whose every hold length is known when it is requested
+        # are Lanes (charged by arithmetic). A managed fetch's hold
+        # length depends on the WQE it reads, so the fetch engine stays
+        # a Resource.
+        self.wire = Lane(sim, name=f"{nic.name}-p{index}-wire")
         self.fetch_engine = Resource(
             sim, 1, name=f"{nic.name}-p{index}-fetch")
-        self.atomic_unit = Resource(
-            sim, 1, name=f"{nic.name}-p{index}-atomic")
-        self.pus = [Resource(sim, 1, name=f"{nic.name}-p{index}-pu{i}")
+        self.atomic_unit = Lane(sim, name=f"{nic.name}-p{index}-atomic")
+        self.pus = [Lane(sim, name=f"{nic.name}-p{index}-pu{i}")
                     for i in range(num_pus)]
         self._next_pu = itertools.cycle(range(num_pus))
 
@@ -81,7 +84,7 @@ class RNIC:
         self.ports: List[Port] = [
             Port(sim, self, i, model.pus_per_port) for i in range(ports)]
         # Host PCIe attachment, shared by every port.
-        self.pcie = Resource(sim, 1, name=f"{self.name}-pcie")
+        self.pcie = Lane(sim, name=f"{self.name}-pcie")
 
         self.cqs: Dict[int, CompletionQueue] = {}
         self.wqs: Dict[int, WorkQueue] = {}

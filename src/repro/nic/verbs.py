@@ -24,7 +24,7 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Generator, List, Optional, TYPE_CHECKING
 
 from .. import obs as _obs
 from ..memory.region import AccessFlags, ProtectionError
@@ -52,46 +52,55 @@ class VerbExecutor:
 
     def perform(self, qp: Optional[QueuePair],
                 wqe: Wqe) -> Generator:
-        """Run a verb's data path; returns (byte_len, immediate)."""
+        """The verb's data-path generator; it returns (byte_len, immediate).
+
+        The caller drives the verb's own generator with ``yield from``
+        (no wrapping layer on every resume). A QP or opcode that cannot
+        run raises :class:`QueueError` here, at call time.
+        """
         opcode = wqe.opcode
         if opcode == Opcode.NOOP:
-            return (yield from self._noop(qp, wqe))
+            return self._noop(qp, wqe)
         if qp is None or not qp.connected:
             raise QueueError(f"{wqe!r} needs a connected QP")
         if opcode in (Opcode.WRITE, Opcode.WRITE_IMM):
-            return (yield from self._write(qp, wqe))
+            return self._write(qp, wqe)
         if opcode == Opcode.READ:
-            return (yield from self._read(qp, wqe))
+            return self._read(qp, wqe)
         if opcode == Opcode.SEND:
-            return (yield from self._send(qp, wqe))
+            return self._send(qp, wqe)
         if opcode in (Opcode.CAS, Opcode.FETCH_ADD):
-            return (yield from self._atomic(qp, wqe))
+            return self._atomic(qp, wqe)
         if opcode in (Opcode.MAX, Opcode.MIN):
-            return (yield from self._calc(qp, wqe))
+            return self._calc(qp, wqe)
         raise QueueError(f"opcode {opcode:#x} is not executable here")
 
     # -- helpers --------------------------------------------------------------
 
-    def _timing(self, nic: "RNIC"):
-        return nic.timing
+    def _traverse(self, src_qp: QueuePair, nbytes: int,
+                  rx_ns: int = 0) -> Generator:
+        """Move a message from ``src_qp``'s NIC to its peer's NIC.
 
-    def _traverse(self, src_qp: QueuePair, nbytes: int) -> Generator:
-        """Move a message from ``src_qp``'s NIC to its peer's NIC."""
+        One sleep covers the wire hold, the link latency and ``rx_ns``
+        of responder-side inbound processing: nothing between them is
+        observable, so the wire span's end is computed, not slept to.
+        Loopback QPs have no wire hop and no RX processing.
+        """
         if src_qp.is_loopback:
             return
         nic = src_qp.nic
-        timing = nic.timing
-        port = nic.ports[src_qp.port_index]
+        dst_nic = src_qp.peer.nic
         start = nic.sim.now
-        serialization = timing.payload_wire_ns(nbytes + _HEADER_BYTES)
-        if serialization > 0:
-            yield from port.wire.use(serialization)
-        latency = nic.link_latency_to(src_qp.peer.nic)
-        if latency > 0:
-            yield latency
+        serialization = nic.timing.payload_wire_ns(nbytes + _HEADER_BYTES)
+        wire_end = (nic.ports[src_qp.port_index].wire.reserve(serialization)
+                    if serialization > 0 else start)
+        arrival = wire_end + nic.link_latency_to(dst_nic)
+        delay = arrival + rx_ns - start
+        if delay > 0:
+            yield delay
         if _obs.enabled:
             for hook in nic.sim.hooks.wire:
-                hook(nic, src_qp.peer.nic, nbytes, start)
+                hook(nic, dst_nic, nbytes, start, arrival)
 
     def _dma_txn(self, nic: "RNIC", kind: str, ns: int) -> Generator:
         """One posted/non-posted DMA transaction latency (a dma span)."""
@@ -108,7 +117,7 @@ class VerbExecutor:
         cost = nic.timing.payload_pcie_ns(nbytes)
         if cost > 0:
             start = nic.sim.now
-            yield from nic.pcie.use(cost)
+            yield nic.pcie.reserve(cost) - start
             if _obs.enabled:
                 for hook in nic.sim.hooks.dma:
                     hook(nic, nbytes, start)
@@ -158,9 +167,7 @@ class VerbExecutor:
         # Gather payload from initiator memory.
         yield from self._dma_in(nic, wqe.length)
         data = nic.memory.read(wqe.laddr, wqe.length) if wqe.length else b""
-        yield from self._traverse(qp, wqe.length)
-        if not qp.is_loopback:
-            yield timing.rx_process_ns
+        yield from self._traverse(qp, wqe.length, timing.rx_process_ns)
         peer.pd.validate_remote(wqe.rkey, wqe.raddr, max(1, wqe.length),
                                 AccessFlags.REMOTE_WRITE)
         # Posted DMA write of the payload into responder memory.
@@ -182,9 +189,7 @@ class VerbExecutor:
         peer = qp.peer
         rnic = peer.nic
         timing = rnic.timing
-        yield from self._traverse(qp, 0)  # request
-        if not qp.is_loopback:
-            yield timing.rx_process_ns
+        yield from self._traverse(qp, 0, timing.rx_process_ns)  # request
         peer.pd.validate_remote(wqe.rkey, wqe.raddr, max(1, wqe.length),
                                 AccessFlags.REMOTE_READ)
         # Non-posted DMA read on the responder.
@@ -206,9 +211,8 @@ class VerbExecutor:
         peer = qp.peer
         yield from self._dma_in(nic, wqe.length)
         data = nic.memory.read(wqe.laddr, wqe.length) if wqe.length else b""
-        yield from self._traverse(qp, wqe.length)
-        if not qp.is_loopback:
-            yield peer.nic.timing.rx_process_ns
+        yield from self._traverse(qp, wqe.length,
+                                  peer.nic.timing.rx_process_ns)
         byte_len = yield from self._consume_recv(
             peer, payload=data, byte_len=len(data), immediate=0)
         yield from self._traverse(peer, 0)  # ack
@@ -266,15 +270,14 @@ class VerbExecutor:
         peer = qp.peer
         rnic = peer.nic
         timing = rnic.timing
-        yield from self._traverse(qp, 16)  # operands travel in the request
-        if not qp.is_loopback:
-            yield timing.rx_process_ns
+        # Operands travel in the request.
+        yield from self._traverse(qp, 16, timing.rx_process_ns)
         peer.pd.validate_remote(wqe.rkey, wqe.raddr, 8,
                                 AccessFlags.REMOTE_ATOMIC)
         port = rnic.ports[peer.port_index]
-        grant = yield port.atomic_unit.acquire()
-        txn_start = nic.sim.now
-        yield timing.atomic_unit_ns
+        unit_end = port.atomic_unit.reserve(timing.atomic_unit_ns)
+        txn_start = unit_end - timing.atomic_unit_ns
+        yield unit_end - nic.sim.now
         if wqe.opcode == Opcode.CAS:
             original = rnic.memory.compare_and_swap_u64(
                 wqe.raddr, wqe.operand0, wqe.operand1)
@@ -283,7 +286,6 @@ class VerbExecutor:
         if _obs.enabled:
             for hook in nic.sim.hooks.atomic:
                 hook(rnic, qp.send_wq, wqe, original)
-        port.atomic_unit.release(grant)
         # Remaining PCIe-atomic transaction latency happens off-unit.
         remaining = timing.atomic_pcie_ns - timing.atomic_unit_ns
         if remaining > 0:
@@ -305,9 +307,7 @@ class VerbExecutor:
         if not rnic.model.supports_calc_verbs:
             raise QueueError(
                 f"{rnic.model.name} does not support calc verbs")
-        yield from self._traverse(qp, 16)
-        if not qp.is_loopback:
-            yield timing.rx_process_ns
+        yield from self._traverse(qp, 16, timing.rx_process_ns)
         peer.pd.validate_remote(wqe.rkey, wqe.raddr, 8,
                                 AccessFlags.REMOTE_WRITE
                                 | AccessFlags.REMOTE_READ)

@@ -320,12 +320,17 @@ class Tracer(RegionSink):
         self._append("X", "dma", f"dma:{kind}", pid, tid, start_ns,
                      dur=self.sim.now - start_ns, args={"kind": kind})
 
-    def on_wire(self, nic, dst_nic, nbytes: int, start_ns: int) -> None:
-        """One message's serialization + link traversal (never loopback)."""
+    def on_wire(self, nic, dst_nic, nbytes: int, start_ns: int,
+                end_ns: int) -> None:
+        """One message's serialization + link traversal (never loopback).
+
+        ``end_ns`` is the arrival at ``dst_nic``; the hook itself may
+        fire later, after the responder's folded RX processing.
+        """
         pid = self.attach_nic(nic)
         tid = self._tid(pid, "wire")
         self._append("X", "wire", f"wire[{nbytes}B]", pid, tid, start_ns,
-                     dur=self.sim.now - start_ns,
+                     dur=end_ns - start_ns,
                      args={"bytes": nbytes, "dst": dst_nic.name})
 
     # -- connection-plane / cross-shard events -------------------------------

@@ -12,7 +12,7 @@ from .core import (
     quantize_delay,
 )
 from .rand import DEFAULT_SEED, SeededStreams
-from .resources import Resource, Store, TokenBucket
+from .resources import Lane, Resource, Store, TokenBucket
 from .sharded import LookaheadError, Shard, ShardedSimulation
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "DEFAULT_SEED",
     "Event",
     "Interrupt",
+    "Lane",
     "LookaheadError",
     "Process",
     "Resource",

@@ -40,7 +40,6 @@ order while sparing same-time callbacks the O(log n) heap round-trip.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
@@ -154,6 +153,34 @@ class Event:
                 immediate.append((callbacks, self))
         return self
 
+    def trigger_after(self, delay: int, value: Any = None) -> None:
+        """Trigger ``delay`` ns (> 0) from now, as one loop callback.
+
+        This is a :class:`Timeout` whose countdown starts when the
+        caller decides, not when the event is created: the waiters run
+        straight from the loop callback, with no dispatch in between.
+        """
+        sim = self.sim
+        sim._push_future(sim.now + delay, self._fire, value)
+
+    def _fire(self, value: Any) -> None:
+        # Runs from the event loop itself, never inside a process frame,
+        # so waiter callbacks are safe to run synchronously — this saves
+        # a full dispatch round-trip per elapsed timeout (the single most
+        # common event in any simulation).
+        if self.triggered:
+            return
+        self.triggered = True
+        self.value = value
+        callbacks = self._callbacks
+        if callbacks is not None:
+            self._callbacks = None
+            if callbacks.__class__ is list:
+                for callback in callbacks:
+                    callback(self)
+            else:
+                callbacks(self)
+
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(event)`` when the event triggers.
 
@@ -233,24 +260,6 @@ class Timeout(Event):
     def __repr__(self) -> str:
         state = "triggered" if self.triggered else "pending"
         return f"<Event timeout({self.delay}) {state}>"
-
-    def _fire(self, value: Any) -> None:
-        # Runs from the event loop itself, never inside a process frame,
-        # so waiter callbacks are safe to run synchronously — this saves
-        # a full dispatch round-trip per elapsed timeout (the single most
-        # common event in any simulation).
-        if self.triggered:
-            return
-        self.triggered = True
-        self.value = value
-        callbacks = self._callbacks
-        if callbacks is not None:
-            self._callbacks = None
-            if callbacks.__class__ is list:
-                for callback in callbacks:
-                    callback(self)
-            else:
-                callbacks(self)
 
 
 class _Condition(Event):
@@ -483,7 +492,7 @@ class Simulator:
         self.now: int = 0
         self._heap: List = []
         self._immediate: deque = deque()
-        self._sequence = itertools.count()
+        self._seq = 0
         self._processes_started = 0
         self._events_executed = 0
         self._heap_peak = 0
@@ -525,9 +534,20 @@ class Simulator:
         is consumed in exactly one place.
         """
         heap = self._heap
-        heappush(heap, (time, next(self._sequence), callback, payload))
+        self._seq = seq = self._seq + 1
+        heappush(heap, (time, seq, callback, payload))
         if len(heap) > self._heap_peak:
             self._heap_peak = len(heap)
+
+    @property
+    def last_seq(self) -> int:
+        """Sequence number of the newest future callback (0 before any).
+
+        Two pushes at the same time with consecutive sequence numbers
+        run back to back with nothing between them, which is what lets
+        a caller widen its own newest push instead of adding another.
+        """
+        return self._seq
 
     # -- factories -------------------------------------------------------
 

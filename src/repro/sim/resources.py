@@ -1,11 +1,17 @@
 """Shared-resource primitives built on the simulation kernel.
 
-Three primitives cover every contention point in the RNIC and host
+Four primitives cover every contention point in the RNIC and host
 models:
 
+* :class:`Lane` — one FIFO unit whose every hold length is known when
+  it is requested, charged by arithmetic: a reservation returns the
+  hold's end time and the caller sleeps once to it. Used for the NIC's
+  processing units, its PCIe attachment, each port's wire and atomic
+  unit.
 * :class:`Resource` — ``capacity`` interchangeable slots with a FIFO
-  wait queue. Used for NIC processing units, PCIe DMA engines, host CPU
-  cores and the NIC-wide atomic unit.
+  wait queue, for holds whose length or release point is only known
+  while they are held (the WQE-fetch engine, receive-queue locks, host
+  CPU cores).
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``.
   Used for mailboxes: NIC doorbell queues, RPC request queues, network
   link ingress buffers.
@@ -22,7 +28,44 @@ from typing import Any, Deque, Generator, Optional
 
 from .core import Event, Simulator
 
-__all__ = ["Resource", "Store", "TokenBucket"]
+__all__ = ["Lane", "Resource", "Store", "TokenBucket"]
+
+
+class Lane:
+    """A capacity-1 FIFO unit with busy-until bookkeeping.
+
+    ``reserve(duration)`` claims the unit for ``duration`` ns starting
+    at ``max(now, busy_until)`` and returns the hold's end time. A
+    caller that then sleeps to that end finishes at exactly the time a
+    ``Resource(capacity=1).use(duration)`` hold requested at the same
+    point would, and holds are granted in request order just as that
+    Resource's FIFO grants them. What differs is the host cost: no
+    acquire event, no grant, no release callback — one sleep per hold,
+    contended or not.
+
+    Only holds whose length is known up front fit a lane; one that must
+    observe the unit while holding it (release early, abandon on
+    interrupt) needs a :class:`Resource`.
+    """
+
+    __slots__ = ("sim", "name", "busy_until")
+
+    def __init__(self, sim: Simulator, name: str = ""):
+        self.sim = sim
+        self.name = name
+        self.busy_until = 0
+
+    def __repr__(self) -> str:
+        return f"<Lane {self.name} busy_until={self.busy_until}>"
+
+    def reserve(self, duration: int) -> int:
+        """Claim the next ``duration`` ns of the unit; return the end."""
+        start = self.busy_until
+        now = self.sim.now
+        if start < now:
+            start = now
+        self.busy_until = end = start + duration
+        return end
 
 
 class Resource:
@@ -87,22 +130,6 @@ class Resource:
 
     def use(self, duration: int) -> Generator[Event, Any, None]:
         """Process helper: hold one slot for ``duration`` nanoseconds."""
-        if self.in_use < self.capacity and not self._waiters:
-            # Uncontended fast path: claim the slot synchronously and
-            # skip the acquire event plus its grant bookkeeping — one
-            # less dispatch round-trip per hold. The slot is claimed at
-            # exactly the same point in the schedule as acquire() would
-            # claim it, so FIFO fairness is unchanged.
-            self.in_use += 1
-            try:
-                yield duration
-            finally:
-                if self._waiters:
-                    waiter = self._waiters.popleft()
-                    waiter.trigger(self._new_grant())
-                else:
-                    self.in_use -= 1
-            return
         grant = yield self.acquire()
         try:
             yield duration

@@ -12,12 +12,16 @@ from repro.ibv import (
     wr_cas,
     wr_enable,
     wr_noop,
+    wr_read,
     wr_send,
     wr_recv,
     wr_wait,
     wr_write,
 )
 from repro.nic import Opcode, WQE_HEADER, Wqe, WrFlags, ctrl_word
+from repro.nic.queue import CompletionQueue, Cqe
+from repro.obs import Tracer
+from repro.sim import Interrupt
 
 
 def make_write_template(src_addr, length, dst_addr, rkey, signaled=True):
@@ -349,3 +353,219 @@ class TestRateLimiter:
         # 100 K ops/s -> >= ~10 us between ops after the burst.
         assert times[1] - times[0] >= 9_000
         assert times[2] - times[1] >= 9_000
+
+
+def _ok_cqe(wr_id=0):
+    return Cqe(wr_id=wr_id, opcode=Opcode.NOOP, status="OK", wq_num=1)
+
+
+class TestWaitFold:
+    """A WAIT resumes ``wait_check_ns`` after its count, as one event."""
+
+    def test_met_threshold_resumes_after_delay(self, sim):
+        cq = CompletionQueue(sim, 1)
+        cq.post_completion(_ok_cqe())
+
+        def waiter():
+            count = yield cq.wait_for_count(1, 20)
+            return sim.now, count
+
+        assert sim.run_process(waiter()) == (20, 1)
+
+    def test_unmet_threshold_resumes_delay_after_count(self, sim):
+        cq = CompletionQueue(sim, 1)
+        woke = []
+
+        def waiter():
+            count = yield cq.wait_for_count(2, 20)
+            woke.append((sim.now, count))
+
+        def completer():
+            yield 100
+            cq.post_completion(_ok_cqe(1))
+            yield 50
+            cq.post_completion(_ok_cqe(2))
+
+        sim.process(waiter())
+        sim.process(completer())
+        sim.run()
+        assert woke == [(170, 2)]
+        # Two process starts, the completer's two sleeps, and one
+        # wake-up: reaching the count and the check are one event.
+        assert sim.stats["events_executed"] == 5
+
+    def test_interrupt_while_waiting_leaves_no_stale_resume(self, sim):
+        cq = CompletionQueue(sim, 1)
+        event = cq.wait_for_count(1, 20)
+        resumed = []
+
+        def waiter():
+            try:
+                yield event
+            except Interrupt:
+                pass
+            yield 1_000
+            resumed.append(sim.now)
+
+        def driver(target):
+            yield 50
+            target.interrupt()
+            yield 50
+            cq.post_completion(_ok_cqe())
+
+        proc = sim.process(waiter())
+        sim.process(driver(proc))
+        sim.run()
+        # The count was reached at 100 and the folded check fired at
+        # 120, but the interrupted waiter was already sleeping to 1050.
+        assert resumed == [1_050]
+        assert event.triggered and event._callbacks is None
+
+    def _traced_wait(self, lo, post_wait_first):
+        """Trigger NOOP + chained WAIT; returns (wait span, trigger CQE)."""
+        chain_qp, _ = lo.nic.create_loopback_pair(lo.pd, name="chain")
+        trigger_cq = lo.qp_a.send_wq.cq
+        tracer = Tracer(lo.sim, name="wait")
+        try:
+            if post_wait_first:
+                chain_qp.post_send(wr_wait(trigger_cq.cq_num, 1))
+
+            def run():
+                cqe = yield from lo.verbs.execute_sync_checked(
+                    lo.qp_a, wr_noop(signaled=True))
+                if not post_wait_first:
+                    chain_qp.post_send(wr_wait(trigger_cq.cq_num, 1))
+                yield 20_000
+                return cqe
+
+            trigger = lo.run(run())
+        finally:
+            tracer.close()
+        (span,) = [event for event in tracer.events if event[2] == "WAIT"]
+        return span, trigger
+
+    def test_wait_verb_met_threshold_costs_wait_check(self, lo):
+        span, _trigger = self._traced_wait(lo, post_wait_first=False)
+        assert span[6] == lo.nic.timing.wait_check_ns
+
+    def test_wait_verb_resumes_wait_check_after_count(self, lo):
+        span, trigger = self._traced_wait(lo, post_wait_first=True)
+        # The trigger CQE's timestamp is when the counter bumped.
+        wake = span[5] + span[6]
+        assert wake == trigger.timestamp + lo.nic.timing.wait_check_ns
+
+
+class TestDoorbellCoalescing:
+    """Same-instant doorbells of one queue share one scheduled raise."""
+
+    def test_same_instant_posts_share_one_raise(self, lo):
+        qp, wq = lo.qp_a, lo.qp_a.send_wq
+        before = lo.sim.last_seq
+        for index in range(5):
+            qp.post_send(wr_noop(wr_id=index, signaled=True))
+        assert lo.sim.last_seq == before + 1
+        lo.sim.run(until=wq.doorbell_delay_ns - 1)
+        assert wq.enabled_count == 0
+        lo.sim.run(until=wq.doorbell_delay_ns)
+        assert wq.enabled_count == 5
+        lo.sim.run()
+        ids = []
+        while (cqe := wq.cq.poll()) is not None:
+            ids.append(cqe.wr_id)
+        assert ids == [0, 1, 2, 3, 4]
+
+    def test_push_from_another_queue_keeps_raises_separate(self, lo):
+        before = lo.sim.last_seq
+        lo.qp_a.post_send(wr_noop(wr_id=1, signaled=True))
+        lo.qp_b.post_send(wr_noop(wr_id=2, signaled=True))
+        lo.qp_a.post_send(wr_noop(wr_id=3, signaled=True))
+        assert lo.sim.last_seq == before + 3
+        lo.sim.run()
+        assert lo.qp_a.send_wq.cq.count == 2
+        assert lo.qp_b.send_wq.cq.count == 1
+
+    def test_later_instant_keeps_raises_separate(self, lo):
+        qp, wq = lo.qp_a, lo.qp_a.send_wq
+        delay = wq.doorbell_delay_ns
+
+        def host():
+            qp.post_send(wr_noop(signaled=True))
+            qp.post_send(wr_noop(signaled=True))
+            yield 10
+            qp.post_send(wr_noop(signaled=True))
+
+        lo.sim.process(host())
+        lo.sim.run(until=delay)
+        assert wq.enabled_count == 2
+        lo.sim.run(until=delay + 9)
+        assert wq.enabled_count == 2
+        lo.sim.run(until=delay + 10)
+        assert wq.enabled_count == 3
+        lo.sim.run()
+        assert wq.cq.count == 3
+
+
+class TestRemoteVerbCost:
+    """Simulated times and kernel cost of one uncontended remote verb."""
+
+    @staticmethod
+    def _one(rig, make_wqe):
+        src, _ = rig.buffer("a", 64)
+        dst, dst_mr = rig.buffer("b", 64)
+        rig.sim.run()
+        events = rig.sim.stats["events_executed"]
+        start = rig.sim.now
+        rig.qp_a.post_send(make_wqe(src, dst, dst_mr))
+        rig.sim.run()
+        cqe = rig.qp_a.send_wq.cq.poll()
+        return (cqe.status, cqe.timestamp - start,
+                rig.sim.stats["events_executed"] - events)
+
+    @pytest.mark.parametrize("opcode, cqe_ns, events", [
+        ("WRITE", 1287, 12),
+        ("READ", 1513, 12),
+        ("CAS", 1507, 11),
+    ])
+    def test_exact_event_count(self, rig, opcode, cqe_ns, events):
+        """Six events reach the data path: the doorbell raise, the
+        driver's wake-up, the prefetch's two sleeps, the PU hold and
+        the op process start. Then one sleep per stage — WRITE: gather
+        DMA, request (wire, link and RX folded), posted DMA, payload
+        DMA, ack; READ: request, non-posted DMA, payload DMA, response,
+        scatter DMA; CAS: request, atomic unit, PCIe-atomic remainder,
+        response — and last the CQE's host delivery."""
+        make = {
+            "WRITE": lambda src, dst, mr: wr_write(
+                src.addr, 64, dst.addr, mr.rkey, signaled=True),
+            "READ": lambda src, dst, mr: wr_read(
+                src.addr, 64, dst.addr, mr.rkey, signaled=True),
+            "CAS": lambda src, dst, mr: wr_cas(
+                dst.addr, mr.rkey, 0, 1, signaled=True),
+        }[opcode]
+        assert self._one(rig, make) == ("OK", cqe_ns, events)
+
+    @pytest.mark.parametrize("revoke_at, status, cqe_ns", [
+        (632, "PROTECTION_ERROR", 955),   # request enters the wire
+        (954, "PROTECTION_ERROR", 955),   # during responder RX processing
+        (955, "PROTECTION_ERROR", 955),   # same instant as the check
+        (956, "OK", 1287),                # after the check passed
+    ])
+    def test_rkey_revoked_mid_write(self, rig, revoke_at, status, cqe_ns):
+        """Revoking the rkey while the request is on the wire still
+        fails the WRITE at the responder's check, at the same time."""
+        src, _ = rig.buffer("a", 64)
+        dst, dst_mr = rig.buffer("b", 64)
+        rig.mem_a.write(src.addr, b"Z" * 64)
+        rig.qp_a.post_send(wr_write(src.addr, 64, dst.addr, dst_mr.rkey,
+                                    signaled=True))
+
+        def revoker():
+            yield revoke_at
+            rig.pd_b.deregister(dst_mr)
+
+        rig.sim.process(revoker())
+        rig.sim.run()
+        cqe = rig.qp_a.send_wq.cq.poll()
+        assert (cqe.status, cqe.timestamp) == (status, cqe_ns)
+        written = rig.mem_b.read(dst.addr, 64)
+        assert written == (b"Z" * 64 if status == "OK" else bytes(64))

@@ -1,5 +1,6 @@
 """Tests for repro.obs: metrics registry, tracer, race inspector, CLI."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,7 +9,14 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.ibv import wr_fetch_add, wr_noop, wr_wait, wr_write
+from repro.ibv import (
+    wr_cas,
+    wr_fetch_add,
+    wr_noop,
+    wr_read,
+    wr_wait,
+    wr_write,
+)
 from repro.obs import (
     FleetTelemetry,
     FlightRecorder,
@@ -534,6 +542,41 @@ class TestDataPathSpans:
             assert all(event[6] > 0 for event in wires)
         finally:
             tracer.close()
+
+    #: sha256 of the sorted Chrome events of the pipelined remote
+    #: WRITE/READ/CAS run below. Same-nanosecond hook calls may come in
+    #: another order when sleeps are folded, but the set of events —
+    #: every span's start and duration included — must not move.
+    SORTED_REMOTE_VERBS_SHA256 = (
+        "3b333858c4c142fd12a43c1b59b8d3274e12b8c9cb4c33b6035ee3f95697879d")
+
+    def test_remote_verb_trace_events_pinned(self, rig):
+        tracer = Tracer(rig.sim, name="verbs")
+        tracer.attach_nic(rig.nic_a)
+        tracer.attach_nic(rig.nic_b)
+        try:
+            src, _ = rig.buffer("a", 64)
+            dst, dst_mr = rig.buffer("b", 64)
+            rig.mem_a.write(src.addr, b"W" * 64)
+            for wqe in (
+                    wr_write(src.addr, 64, dst.addr, dst_mr.rkey, wr_id=1,
+                             signaled=True),
+                    wr_read(src.addr, 64, dst.addr, dst_mr.rkey, wr_id=2,
+                            signaled=True),
+                    wr_cas(dst.addr + 8, dst_mr.rkey, 0x5757575757575757, 7,
+                           wr_id=3, signaled=True)):
+                rig.qp_a.post_send(wqe)
+            rig.sim.run()
+            events = tracer.chrome_events()
+        finally:
+            tracer.close()
+        statuses = [cqe.status
+                    for cqe in iter(rig.qp_a.send_wq.cq.poll, None)]
+        assert statuses == ["OK", "OK", "OK"]
+        lines = sorted(json.dumps(event, sort_keys=True) for event in events)
+        assert len(lines) == 78
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.SORTED_REMOTE_VERBS_SHA256
 
     def test_no_wire_spans_on_loopback(self, lo):
         tracer = Tracer(lo.sim, name="test")

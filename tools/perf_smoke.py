@@ -34,13 +34,25 @@ Usage:
     PYTHONPATH=src python tools/perf_smoke.py --update-baseline
 
 The committed baseline lives in ``BENCH_simspeed.json`` at the repo
-root. Exit status:
+root. Each workload's fingerprint has two parts:
+
+* the **simulated** part — latencies, frontier, rates, pool counters:
+  what the simulated system did, which must never move;
+* the **host-cost** part — the kernel event counts (``events``,
+  ``per_bed_events``, ``per_shard_events``): what it cost the host to
+  simulate it, which a change to the simulator may lower or raise.
+
+The speed gate compares CPU seconds, not events/s, so a change that
+needs fewer events for the same answer is judged on the time it takes;
+events/s is still printed. Exit status:
 
 * 0 — within tolerance of the baseline (or baseline just [re]written),
-* 1 — events/sec regressed more than 30% on any workload, or a
-  dual-drive workload's sharded-vs-serial speedup fell below its floor,
-* 2 — determinism fingerprint drifted (simulated results changed —
-  that is a correctness bug, not a perf problem),
+* 1 — CPU time regressed more than 30% on any workload, a dual-drive
+  workload's sharded-vs-serial speedup fell below its floor, or the
+  event counts changed while the simulated results stayed identical
+  (re-record the baseline if that change is intended),
+* 2 — the simulated part of a fingerprint drifted (simulated results
+  changed — that is a correctness bug, not a perf problem),
 * 3 — ``--check`` was asked but no committed baseline exists.
 
 ``--check`` is the CI mode: it never writes the baseline file.
@@ -70,6 +82,10 @@ REGRESSION_TOLERANCE = 0.30
 # which bounds the conservative synchronizer's parallelism.
 CLUSTER_SPEEDUP_FLOOR = 1.5
 FLEET_SPEEDUP_FLOOR = 1.2
+
+#: Fingerprint fields that count kernel events: host cost, not
+#: simulated results (see the module docstring).
+HOST_COST_FIELDS = ("per_bed_events", "per_shard_events")
 
 LIST_SIZE = 8
 VALUE_SIZE = 64
@@ -399,6 +415,35 @@ def profile_workloads(top: int = 25) -> str:
     return "\n".join(sections)
 
 
+def split_fingerprint(result: dict):
+    """``(simulated, host_cost)`` parts of one workload's result."""
+    fingerprint = result["fingerprint"]
+    simulated = {key: value for key, value in fingerprint.items()
+                 if key not in HOST_COST_FIELDS}
+    host_cost = {key: fingerprint[key] for key in HOST_COST_FIELDS
+                 if key in fingerprint}
+    host_cost["events"] = result["events"]
+    return simulated, host_cost
+
+
+def compare_fingerprint(name: str, result: dict, base: dict) -> int:
+    """Print how ``result`` matches ``base``; return its exit status."""
+    simulated, host_cost = split_fingerprint(result)
+    base_simulated, base_host_cost = split_fingerprint(base)
+    if simulated != base_simulated:
+        print(f"{name}: DETERMINISM DRIFT — simulated results "
+              f"changed:\n  baseline: {base_simulated}\n"
+              f"  current:  {simulated}")
+        return 2
+    if host_cost != base_host_cost:
+        print(f"{name}: EVENT COUNTS CHANGED — the simulated results are "
+              f"bit-identical, but the kernel event counts moved "
+              f"(re-record with --update-baseline if that is intended):"
+              f"\n  baseline: {base_host_cost}\n  current:  {host_cost}")
+        return 1
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--update-baseline", action="store_true",
@@ -453,13 +498,10 @@ def main(argv=None) -> int:
             if base is None:
                 print(f"{name}: not in baseline")
                 continue
-            if result["fingerprint"] != base["fingerprint"]:
-                print(f"{name}: DETERMINISM DRIFT — simulated results "
-                      f"changed:\n  baseline: {base['fingerprint']}\n"
-                      f"  current:  {result['fingerprint']}")
-                status = 2
-            else:
+            verdict = compare_fingerprint(name, result, base)
+            if verdict == 0:
                 print(f"{name}: fingerprint bit-identical to baseline")
+            status = max(status, verdict)
         return status
 
     if args.profile is not None:
@@ -489,18 +531,21 @@ def main(argv=None) -> int:
         if base is None:
             print(f"{name}: not in baseline (run --update-baseline)")
             continue
-        if result["fingerprint"] != base["fingerprint"]:
-            print(f"{name}: DETERMINISM DRIFT — simulated results "
-                  f"changed:\n  baseline: {base['fingerprint']}\n"
-                  f"  current:  {result['fingerprint']}")
-            status = 2
+        verdict = compare_fingerprint(name, result, base)
+        status = max(status, verdict)
+        if verdict == 2:
             continue
-        floor = base["events_per_sec"] * (1 - REGRESSION_TOLERANCE)
-        ratio = result["events_per_sec"] / base["events_per_sec"]
-        if result["events_per_sec"] < floor:
-            print(f"{name}: REGRESSION — {result['events_per_sec']:,d} "
-                  f"events/s is {ratio:.2f}x of baseline "
-                  f"{base['events_per_sec']:,d}")
+        # CPU seconds, not events/s: for an unchanged event count the
+        # two bounds agree, and when the count moves only this one
+        # still measures the time the same work takes.
+        limit = base["cpu_seconds"] / (1 - REGRESSION_TOLERANCE)
+        ratio = result["cpu_seconds"] / base["cpu_seconds"]
+        rate = (f"{result['events_per_sec']:,d} events/s, baseline "
+                f"{base['events_per_sec']:,d}")
+        if result["cpu_seconds"] > limit:
+            print(f"{name}: REGRESSION — {result['cpu_seconds']:.3f}s CPU "
+                  f"is {ratio:.2f}x of baseline {base['cpu_seconds']:.3f}s "
+                  f"({rate})")
             status = max(status, 1)
         elif (name in SPEEDUP_WORKLOADS
               and result["speedup"] < SPEEDUP_WORKLOADS[name][1]):
@@ -510,7 +555,7 @@ def main(argv=None) -> int:
                   f"{base.get('speedup', '?')}x)")
             status = max(status, 1)
         else:
-            print(f"{name}: ok ({ratio:.2f}x of baseline)")
+            print(f"{name}: ok ({ratio:.2f}x of baseline CPU; {rate})")
     return status
 
 
