@@ -4,12 +4,11 @@ Running any benchmark with ``--trace-out`` attaches a
 :class:`repro.obs.Tracer` to every :class:`Testbed` the benchmark
 builds and writes one merged Chrome trace-event JSON at session end —
 load it at https://ui.perfetto.dev or feed it to
-``tools/trace_inspect.py``. The ``REPRO_TRACE`` environment variable
-is an equivalent knob for non-pytest entry points. (The bare
-``--trace`` spelling is taken by pytest's built-in debugger hook.)
+``tools/trace_inspect.py``. (The bare ``--trace`` spelling is taken
+by pytest's built-in debugger hook.)
 
-``--breakdown [OUT.json]`` (default ``BENCH_breakdown.json``, env
-``REPRO_BREAKDOWN``) additionally runs the critical-path profiler over
+``--breakdown [OUT.json]`` (default ``BENCH_breakdown.json``)
+additionally runs the critical-path profiler over
 every recorded request window (offload ``call:`` spans and the
 ``mark_request`` samples benchmarks emit) and writes the per-phase
 latency attributions — what CI gates per-component regressions on.

@@ -37,7 +37,6 @@ fingerprint records via ``doorbell_rings``.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs as _obs
@@ -537,19 +536,15 @@ def build_fleet(num_shards: int = 8, clients_per_shard: int = 128,
 
     Defaults drive 1024 logical client connections (8 shards x 128)
     over 64 pooled QPs and 16 shared CQs total, with doorbell batching
-    on. ``telemetry_path`` (default: the ``REPRO_TELEMETRY``
-    environment variable) attaches the telemetry fleet and writes the
-    merged JSONL stream there after the run; ``exemplars`` (default:
-    ``REPRO_EXEMPLARS``) sets the per-window tail-exemplar count.
+    on. A non-empty ``telemetry_path`` attaches the telemetry fleet
+    and writes the merged JSONL stream there after the run (None and
+    ``""`` both mean off); ``exemplars`` sets its per-window
+    tail-exemplar count (None and 0 mean none).
     """
     scenario = FleetScenario(num_shards, clients_per_shard,
                              requests_per_client, pool_qps,
                              batch_doorbells, gateway_workers, link_ns)
-    if telemetry_path is None:
-        telemetry_path = os.environ.get("REPRO_TELEMETRY") or None
-    if exemplars is None:
-        exemplars = int(os.environ.get("REPRO_EXEMPLARS", "0") or 0)
     if telemetry_path:
         scenario.attach_telemetry(path=telemetry_path,
-                                  exemplars=exemplars)
+                                  exemplars=exemplars or 0)
     return scenario

@@ -344,15 +344,11 @@ class QpPool(object):
             self._waiters.append(event)
             yield event
         if _obs.enabled:
-            now = self.sim.now
-            wait_ns = 0 if waited_from is None else now - waited_from
             for hook in self.sim.hooks.pool_acquire:
-                hook(self, wait_ns)
-            if wait_ns:
-                for hook in self.sim.hooks.pool_wait:
-                    hook(self, waited_from, tag)
-                if blame is not None:
-                    blame.span(waited_from, now, "pool_wait", self.name)
+                hook(self, waited_from, tag)
+            now = self.sim.now
+            if blame is not None and waited_from not in (None, now):
+                blame.span(waited_from, now, "pool_wait", self.name)
         return self.lease(tag, blame=blame)
 
     def release(self, lease: QpLease) -> None:

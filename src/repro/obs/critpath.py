@@ -44,11 +44,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 # Event normalization is shared with the trace inspector and the
 # trace-diff engine; re-exported here for backwards compatibility.
-from .events import (
-    NormalizedEvent,
-    events_from_trace,
-    events_from_tracer,
-)
+from .events import NormalizedEvent, events_from_trace
 
 __all__ = [
     "PHASES",
@@ -56,7 +52,6 @@ __all__ = [
     "RequestProfile",
     "CritPathProfile",
     "attribute_spans",
-    "events_from_tracer",
     "events_from_trace",
     "profile_events",
     "profile_tracer",
@@ -481,8 +476,8 @@ def profile_events(events: List[NormalizedEvent]) -> CritPathProfile:
 
 
 def profile_tracer(tracer) -> CritPathProfile:
-    """Profile a live tracer (exact integer-ns path)."""
-    return profile_events(events_from_tracer(tracer))
+    """Profile a live tracer: its rendered trace, read like a file."""
+    return profile_trace(tracer.chrome_events())
 
 
 def profile_trace(source) -> CritPathProfile:

@@ -5,9 +5,10 @@ the trace inspector (``tools/trace_inspect.py``) and the trace-diff
 engine (``obs/tracediff.py``) — all need the same two conversions:
 
 * **normalized events**: one uniform ``(ph, cat, name, track, ts, dur,
-  args)`` view over either a live :class:`~repro.obs.tracer.Tracer`
-  (exact integer nanoseconds) or an exported Chrome trace (microsecond
-  floats, recovered exactly via ``round(ts_us * 1000)``);
+  args)`` view over a Chrome trace — an exported file or a live
+  tracer's rendering — with microsecond floats recovered to exact
+  integer nanoseconds via ``round(ts_us * 1000)``, or over journal
+  records;
 * **WQE field diffs**: byte images resolved to the chain-IR field
   names of :data:`repro.nic.wqe.WQE_HEADER`, so a divergence report
   can say ``operand1: 0xdead -> 0xbeef`` instead of "byte 40 differs".
@@ -18,13 +19,12 @@ simulation, so the zero-cost guarantee of ``repro.obs`` is unaffected.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..nic.wqe import WQE_HEADER, WQE_SLOT_SIZE
 
 __all__ = [
     "NormalizedEvent",
-    "events_from_tracer",
     "events_from_trace",
     "events_from_journal",
     "wqe_field_diff",
@@ -54,22 +54,6 @@ class NormalizedEvent:
     def __repr__(self) -> str:
         return (f"<Ev {self.ph} {self.name} @{self.ts}"
                 f"{f'+{self.dur}' if self.dur else ''} {self.track}>")
-
-
-def events_from_tracer(tracer) -> List[NormalizedEvent]:
-    """Normalize a live tracer's events (already integer ns)."""
-    proc = {pid: label for label, pid in tracer._pids.items()}
-    thread: Dict[Tuple[int, int], str] = {
-        (pid, tid): label for (pid, label), tid in tracer._tids.items()}
-    out: List[NormalizedEvent] = []
-    for ph, cat, name, pid, tid, ts, dur, args in tracer.events:
-        if ph == "C":
-            continue
-        track = (f"{proc.get(pid, f'pid{pid}')}/"
-                 f"{thread.get((pid, tid), f'tid{tid}')}")
-        out.append(NormalizedEvent(ph, cat, name, track, ts, dur or 0,
-                                   args))
-    return out
 
 
 def events_from_trace(data) -> List[NormalizedEvent]:

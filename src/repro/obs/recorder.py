@@ -33,9 +33,12 @@ WRITE/READ, and WAIT-threshold consistency. Violations surface both on
 ``FlightRecorder.violations`` and through the MetricsRegistry
 (``obs.invariants`` counter: ``checks`` plus ``violation:<name>``).
 
-Like the tracer, the recorder never schedules simulation events and
-never mutates simulated state — attaching it cannot change a run's
-schedule (``tests/test_obs_determinism.py`` holds it to that).
+The recorder is also the capture core of the tracer
+(:class:`repro.obs.tracer.Tracer` subclasses it): one ``_emit`` into one
+record stream, one DRAM store hook per memory, one attach/close and one
+dump. Neither ever schedules simulation events or mutates simulated
+state — attaching one cannot change a run's schedule
+(``tests/test_obs_determinism.py`` holds both to that).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..nic.opcodes import Opcode, op_name
-from . import RegionSink
+from . import attach, detach
 
 __all__ = [
     "JOURNAL_SCHEMA",
@@ -232,23 +235,30 @@ class InvariantMonitor:
 # -- the recorder ---------------------------------------------------------
 
 
-class FlightRecorder(RegionSink):
-    """Bounded causal journal of one simulation; one per Simulator."""
+class FlightRecorder:
+    """Bounded causal journal of one simulation; one per Simulator.
+
+    The tracer's settings: ``capacity=None`` keeps every record, and
+    ``checkpoint_interval=None`` takes no checkpoints — so no covered NIC
+    is kept alive for them; a tracer journal is rendered, never
+    replayed.
+    """
 
     kind = "recorder"
 
     def __init__(self, sim, name: str = "journal",
-                 capacity: int = 1 << 16,
-                 checkpoint_interval: int = 1024,
+                 capacity: Optional[int] = 1 << 16,
+                 checkpoint_interval: Optional[int] = 1024,
                  verify: Optional["Journal"] = None,
                  stop_at: Optional[Dict[str, Any]] = None,
                  monitor: bool = True):
-        if capacity < 1:
+        if capacity is not None and capacity < 1:
             raise ValueError(f"capacity {capacity} < 1")
-        if checkpoint_interval < 1:
+        if checkpoint_interval is not None and checkpoint_interval < 1:
             raise ValueError(
                 f"checkpoint_interval {checkpoint_interval} < 1")
-        super().__init__(sim)
+        attach(sim, self.kind, self)
+        self.sim = sim
         self.name = name
         self.capacity = capacity
         self.checkpoint_interval = checkpoint_interval
@@ -256,7 +266,8 @@ class FlightRecorder(RegionSink):
         self.seq = 0
         self.records: deque = deque(maxlen=capacity)
         self.checkpoints: deque = deque(
-            maxlen=max(2, capacity // checkpoint_interval + 2))
+            maxlen=max(2, capacity // checkpoint_interval + 2)
+            if capacity and checkpoint_interval else None)
         self.monitor = InvariantMonitor(sim.metrics) if monitor else None
         # Replay-verification state.
         self._verify = verify
@@ -267,8 +278,12 @@ class FlightRecorder(RegionSink):
         self.stop_at = stop_at
         self.landed: Optional[Dict[str, Any]] = None
         self.stopped = False
-        # Attachment bookkeeping.
+        # Attachment bookkeeping: covered NICs, hooked memories and the
+        # annotated regions per memory, sorted [(start, end, label)].
         self._nics: List = []
+        self._nics_seen: set = set()
+        self._memories: List = []
+        self._regions: Dict[int, List[Tuple[int, int, str]]] = {}
 
     def __repr__(self) -> str:
         return (f"<FlightRecorder {self.name} seq={self.seq} "
@@ -285,32 +300,89 @@ class FlightRecorder(RegionSink):
 
     # -- attachment --------------------------------------------------------
 
+    def close(self) -> None:
+        """Detach from the simulator and its memories."""
+        if detach(self.sim, self.kind, self):
+            for memory, hook in self._memories:
+                memory.remove_store_hook(hook)
+            self._memories.clear()
+
     def attach_nic(self, nic) -> None:
         """Cover a NIC: journal its ring stores, checkpoint its queues.
 
-        Queues the NIC creates later are picked up automatically via
-        the ``wq_created``/``cq_created`` hooks.
+        Its existing queues go through the ``wq_created``/``cq_created``
+        hooks, which pick up the queues it creates later too.
         """
         if id(nic) in self._nics_seen:
             return
         self._nics_seen.add(id(nic))
-        self._nics.append(nic)
+        if self.checkpoint_interval:
+            self._nics.append(nic)
         self.attach_memory(nic.memory)
+        for cq in nic.cqs.values():
+            self.on_cq_created(nic, cq)
         for wq in nic.wqs.values():
-            self.annotate_region(nic.memory, wq.ring.addr, wq.ring.size,
-                                 f"ring:{wq.name}")
+            self.on_wq_created(nic, wq)
+
+    def attach_memory(self, memory) -> None:
+        """Install the DRAM store hook (stores into annotated regions)."""
+        if id(memory) in self._regions:
+            return
+        self._regions[id(memory)] = []
+
+        def hook(addr: int, length: int, _memory=memory) -> None:
+            self._dram_store(_memory, addr, length)
+
+        memory.add_store_hook(hook)
+        self._memories.append((memory, hook))
+
+    def _dram_store(self, memory, addr: int, length: int) -> None:
+        end = addr + length
+        for start, stop, label in self._regions.get(id(memory), ()):
+            if start >= end:
+                return
+            if stop > addr:
+                self._region_store(memory, label, addr, length)
+                return
+
+    def annotate_region(self, memory, addr: int, size: int,
+                        label: str) -> None:
+        """Mark [addr, addr+size) as interesting: stores get journaled."""
+        self.attach_memory(memory)
+        regions = self._regions[id(memory)]
+        for start, end, _ in regions:
+            if start == addr and end == addr + size:
+                return
+        regions.append((addr, addr + size, label))
+        regions.sort()
 
     # -- hook methods (called from instrumented NIC code) -------------------
 
+    def on_wq_created(self, nic, wq) -> None:
+        self._queue_created(nic, wq, "wq")
+        self.annotate_region(wq.memory, wq.ring.addr, wq.ring.size,
+                             f"ring:{wq.name}")
+
+    def on_cq_created(self, nic, cq) -> None:
+        self._queue_created(nic, cq, "cq")
+
+    def _queue_created(self, nic, queue, kind: str) -> None:
+        self.attach_nic(nic)
+
+    def _slot_record(self, kind: str, wq, wr_index: int, slot_cursor: int,
+                     slots: int, opcode: int) -> Dict[str, Any]:
+        """A post/fetch record: the WQE's slot bytes and generations."""
+        gens, data = wq.slot_state(slot_cursor, slots)
+        return {"kind": kind, "wq": wq.name, "wq_num": wq.wq_num,
+                "wr": wr_index, "slot": slot_cursor % wq.num_slots,
+                "slots": slots, "addr": wq.slot_addr(slot_cursor),
+                "op": op_name(opcode), "wqe": data.hex(),
+                "gens": list(gens)}
+
     def on_post(self, wq, wr_index: int, slot_cursor: int, slots: int,
                 opcode: int) -> None:
-        gens, data = wq.slot_state(slot_cursor, slots)
-        self._emit({"kind": "post", "wq": wq.name,
-                    "wq_num": wq.wq_num, "wr": wr_index,
-                    "slot": slot_cursor % wq.num_slots, "slots": slots,
-                    "addr": wq.slot_addr(slot_cursor),
-                    "op": op_name(opcode), "wqe": data.hex(),
-                    "gens": list(gens)})
+        self._emit(self._slot_record("post", wq, wr_index, slot_cursor,
+                                     slots, opcode))
 
     def on_doorbell(self, wq, up_to: int) -> None:
         self._emit({"kind": "doorbell", "wq": wq.name,
@@ -319,13 +391,15 @@ class FlightRecorder(RegionSink):
     def on_fetch(self, nic, wq, start_ns: int, managed: bool,
                  fetched: List[Tuple]) -> None:
         for wqe, wr_index, slot_cursor, slots, cache_hit in fetched:
-            gens, data = wq.slot_state(slot_cursor, slots)
-            self._emit({"kind": "fetch", "wq": wq.name,
-                        "wq_num": wq.wq_num, "wr": wr_index,
-                        "slot": slot_cursor % wq.num_slots,
-                        "slots": slots, "addr": wq.slot_addr(slot_cursor),
-                        "op": op_name(wqe.opcode), "wqe": data.hex(),
-                        "gens": list(gens), "cache": bool(cache_hit)})
+            self._fetched(wq, wqe, wr_index, slot_cursor, slots, cache_hit)
+
+    def _fetched(self, wq, wqe, wr_index: int, slot_cursor: int,
+                 slots: int, cache_hit: bool) -> Dict[str, Any]:
+        record = self._slot_record("fetch", wq, wr_index, slot_cursor,
+                                   slots, wqe.opcode)
+        record["cache"] = bool(cache_hit)
+        self._emit(record)
+        return record
 
     def on_exec(self, wq, wr_index: int, wqe) -> None:
         self._emit({"kind": "exec", "wq": wq.name,
@@ -389,7 +463,8 @@ class FlightRecorder(RegionSink):
         self.seq += 1
         if not self._verify_done:
             self._verify_record(record)
-        if self.seq % self.checkpoint_interval == 0:
+        if self.checkpoint_interval and \
+                self.seq % self.checkpoint_interval == 0:
             self._checkpoint()
         if (self.stop_at is not None and self.landed is None
                 and record_matches(record, self.stop_at)):

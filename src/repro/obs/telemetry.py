@@ -265,9 +265,12 @@ class TelemetryCollector:
         self._touch()
         self._dma_bytes += nbytes
 
-    def on_pool_acquire(self, pool, wait_ns: int) -> None:
-        """One QP-pool lease acquisition waited ``wait_ns`` (0 = free)."""
+    def on_pool_acquire(self, pool, waited_from: Optional[int],
+                        tag: str) -> None:
+        """One QP-pool lease acquisition; ``waited_from`` is when its
+        FIFO wait began, None when a QP was free."""
         self._touch()
+        wait_ns = 0 if waited_from is None else self.sim.now - waited_from
         self._pool_wait.observe(wait_ns)
         self.sim.metrics.histogram("telemetry.pool_wait_ns").observe(
             wait_ns)

@@ -19,6 +19,7 @@ from repro.ibv import wr_noop, wr_write
 from repro.obs import (
     PHASES,
     Tracer,
+    load_trace,
     profile_trace,
     profile_tracer,
     sync_counts,
@@ -26,7 +27,7 @@ from repro.obs import (
 from repro.obs.critpath import (
     NormalizedEvent,
     _attribute,
-    events_from_tracer,
+    events_from_trace,
     profile_events,
 )
 
@@ -184,7 +185,8 @@ class TestLiveProfile:
     def test_sync_counts_zero_for_plain_chain(self, traced):
         lo, tracer = traced
         drive_marked_writes(lo, tracer, count=2)
-        counts = sync_counts(events_from_tracer(tracer))
+        counts = sync_counts(
+            events_from_trace(load_trace(tracer.chrome_events())))
         assert counts["E"] == counts["WAIT"] == counts["ENABLE"] == 0
         assert counts["ops"]["WRITE"] == 2
 

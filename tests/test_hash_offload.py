@@ -308,7 +308,7 @@ def test_image_posts_match_ir_oracle(parallel, buckets, obs_on):
             if obs_on:
                 (rec_a, tr_a), (rec_b, tr_b) = sinks
                 assert list(rec_a.records) == list(rec_b.records)
-                assert tr_a.events == tr_b.events
+                assert tr_a.chrome_events() == tr_b.chrome_events()
             results = [rig.get(key) for rig in rigs]
             assert results[0].ok and results[0].data == \
                 f"value-{key}".encode()

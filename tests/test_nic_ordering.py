@@ -441,17 +441,18 @@ class TestWaitFold:
             trigger = lo.run(run())
         finally:
             tracer.close()
-        (span,) = [event for event in tracer.events if event[2] == "WAIT"]
+        (span,) = [event for event in tracer.chrome_events()
+                   if event["name"] == "WAIT"]
         return span, trigger
 
     def test_wait_verb_met_threshold_costs_wait_check(self, lo):
         span, _trigger = self._traced_wait(lo, post_wait_first=False)
-        assert span[6] == lo.nic.timing.wait_check_ns
+        assert round(span["dur"] * 1000) == lo.nic.timing.wait_check_ns
 
     def test_wait_verb_resumes_wait_check_after_count(self, lo):
         span, trigger = self._traced_wait(lo, post_wait_first=True)
         # The trigger CQE's timestamp is when the counter bumped.
-        wake = span[5] + span[6]
+        wake = round(span["ts"] * 1000) + round(span["dur"] * 1000)
         assert wake == trigger.timestamp + lo.nic.timing.wait_check_ns
 
 

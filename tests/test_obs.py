@@ -23,6 +23,8 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     Tracer,
+    chrome_events,
+    load_journal,
     load_trace,
     parse_openmetrics,
     race_report,
@@ -298,6 +300,12 @@ def _cqe_total(lo):
 
 
 class TestHookSeam:
+    def test_public_names_resolve(self):
+        assert len(obs.HOOKS) == len(set(obs.HOOKS)) == 25
+        assert "pool_wait" not in obs.HOOKS
+        for name in obs.__all__:
+            assert getattr(obs, name) is not None, name
+
     def test_sink_is_called_only_at_the_hooks_it_defines(self, lo):
         sink = _CqeOnlySink()
         obs.attach(lo.sim, "tracer", sink)
@@ -384,7 +392,8 @@ class TestTracerEvents:
         drive_write_chain(lo)
         out = tmp_path / "trace.json"
         count = tracer.export_chrome(out)
-        assert count == len(tracer.events) > 0
+        assert count == len([event for event in tracer.chrome_events()
+                             if event["ph"] != "M"]) > 0
         payload = json.loads(out.read_text())
         events = payload["traceEvents"]
         threads = {event["args"]["name"] for event in events
@@ -417,7 +426,7 @@ class TestTracerEvents:
     def test_wait_and_enable_events(self, traced):
         lo, tracer = traced
         drive_recycled_loop(lo, laps=2)
-        names = {event[2] for event in tracer.events}
+        names = {event["name"] for event in tracer.chrome_events()}
         assert "WAIT" in names
         assert "WAIT.wake" in names
         assert "ENABLE" in names
@@ -425,9 +434,10 @@ class TestTracerEvents:
     def test_atomics_recorded(self, traced):
         lo, tracer = traced
         drive_recycled_loop(lo, laps=2)
-        atomics = [event for event in tracer.events if event[1] == "atomic"]
+        atomics = [event for event in tracer.chrome_events()
+                   if event.get("cat") == "atomic"]
         assert atomics
-        assert any(event[2] == "FETCH_ADD" for event in atomics)
+        assert any(event["name"] == "FETCH_ADD" for event in atomics)
 
 
 class TestWaitEnableSpanEdges:
@@ -459,8 +469,8 @@ class TestWaitEnableSpanEdges:
         lo.run(run())
 
     def _wait_spans(self, tracer):
-        return [event for event in tracer.events
-                if event[0] == "X" and event[2] == "WAIT"]
+        return [event for event in tracer.chrome_events()
+                if event["ph"] == "X" and event["name"] == "WAIT"]
 
     def test_wait_satisfied_at_post_is_bookkeeping_only(self, traced):
         """A WAIT whose threshold is already met when it executes spans
@@ -468,19 +478,21 @@ class TestWaitEnableSpanEdges:
         lo, tracer = traced
         self._drive_wait(lo, presatisfied=True)
         (span,) = self._wait_spans(tracer)
-        assert span[6] == lo.nic.timing.wait_check_ns
-        assert span[7]["count"] == 1
+        assert round(span["dur"] * 1000) == lo.nic.timing.wait_check_ns
+        assert span["args"]["count"] == 1
 
     def test_wait_blocked_spans_the_blocked_interval(self, traced):
         lo, tracer = traced
         self._drive_wait(lo, presatisfied=False)
         (span,) = self._wait_spans(tracer)
         # Blocked from execute until the trigger's CQE ~5us later.
-        assert span[6] > 4_000
-        wakes = [event for event in tracer.events
-                 if event[2] == "WAIT.wake"]
+        assert span["dur"] * 1000 > 4_000
+        wakes = [event for event in tracer.chrome_events()
+                 if event["name"] == "WAIT.wake"]
         assert len(wakes) == 1
-        assert wakes[0][5] == span[5] + span[6]  # wake at span end
+        # wake at span end
+        assert round(wakes[0]["ts"] * 1000) == \
+            round(span["ts"] * 1000) + round(span["dur"] * 1000)
 
     def test_rearmed_wait_counts_increase(self, traced):
         """The recycled loop's ADD re-arms the head WAIT with a bumped
@@ -489,21 +501,94 @@ class TestWaitEnableSpanEdges:
         laps = 3
         drive_recycled_loop(lo, laps=laps)
         spans = self._wait_spans(tracer)
-        head_track = spans[0][3], spans[0][4]
-        counts = [span[7]["count"] for span in spans
-                  if (span[3], span[4]) == head_track]
+        head_track = spans[0]["pid"], spans[0]["tid"]
+        counts = [span["args"]["count"] for span in spans
+                  if (span["pid"], span["tid"]) == head_track]
         assert counts == list(range(1, len(counts) + 1))
         assert len(counts) >= laps
 
     def test_enable_records_target_queue_name(self, traced):
         lo, tracer = traced
         drive_recycled_loop(lo, laps=2)
-        enables = [event for event in tracer.events
-                   if event[2] == "ENABLE"]
+        enables = [event for event in tracer.chrome_events()
+                   if event["name"] == "ENABLE"]
         assert enables
         for event in enables:
-            assert isinstance(event[7]["target_name"], str)
-            assert event[7]["target_name"]
+            assert isinstance(event["args"]["target_name"], str)
+            assert event["args"]["target_name"]
+
+
+class TestCaptureCore:
+    def test_tracer_is_a_flight_recorder_with_no_store_of_its_own(self, lo):
+        tracer = Tracer(lo.sim)
+        try:
+            assert isinstance(tracer, FlightRecorder)
+            assert not hasattr(tracer, "events")
+            assert tracer.capacity is None and tracer.monitor is None
+            drive_write_chain(lo, count=3)
+            assert tracer.records and not tracer.checkpoints
+        finally:
+            tracer.close()
+
+    def test_tracer_keeps_no_traced_nic_alive(self):
+        import gc
+        import weakref
+
+        from repro.memory import HostMemory
+        from repro.nic import RNIC
+
+        sim = Simulator()
+        tracer = Tracer(sim)
+        try:
+            nic = RNIC(sim, HostMemory(name="mem"), name="nic")
+            nic.create_cq(name="cq")
+            tracer.attach_nic(nic)
+            alive = weakref.ref(nic)
+            del nic
+            gc.collect()
+            assert alive() is None
+        finally:
+            tracer.close()
+
+    def test_same_named_queues_keep_their_own_nic_tracks(self):
+        """Journal records name queues, and names repeat across NICs:
+        each queue's events must still land on its own NIC's track."""
+        from repro.ibv import VerbsContext
+        from repro.memory import HostMemory, ProtectionDomain
+        from repro.nic import RNIC
+
+        sim = Simulator()
+        verbs = VerbsContext(sim, name="dup-verbs")
+        tracer = Tracer(sim, name="dup")
+        pairs = {}
+        for name in ("nic-a", "nic-b"):
+            memory = HostMemory(name=f"mem-{name}")
+            nic = RNIC(sim, memory, name=name)
+            pairs[name] = nic.create_loopback_pair(
+                ProtectionDomain(memory), name="dup")
+
+        def run():
+            for _ in range(2):
+                for qp, _peer in pairs.values():
+                    yield from verbs.execute_sync_checked(
+                        qp, wr_noop(signaled=True))
+
+        try:
+            sim.run_process(run())
+            events = tracer.chrome_events()
+        finally:
+            tracer.close()
+        process = {event["pid"]: event["args"]["name"] for event in events
+                   if event["name"] == "process_name"}
+        thread = {(event["pid"], event["tid"]): event["args"]["name"]
+                  for event in events if event["name"] == "thread_name"}
+        placed = [(process[event["pid"]],
+                   thread[(event["pid"], event["tid"])])
+                  for event in events
+                  if event["name"] in ("post:NOOP", "op:NOOP", "cqe:NOOP")]
+        assert sorted(placed) == sorted(
+            [(nic, track) for nic in ("nic-a", "nic-b")
+             for track in ("wq:dup-a-sq", "wq:dup-a-sq", "cq:dup-a-scq")] * 2)
 
 
 class TestDataPathSpans:
@@ -514,11 +599,11 @@ class TestDataPathSpans:
         tracer.attach_nic(lo.nic)
         try:
             drive_write_chain(lo, count=1)
-            spans = [event for event in tracer.events
-                     if event[2] == "cqe_dma"]
+            spans = [event for event in tracer.chrome_events()
+                     if event["name"] == "cqe_dma"]
             assert spans
-            assert all(event[6] == lo.nic.timing.cqe_dma_ns
-                       for event in spans)
+            assert all(round(event["dur"] * 1000)
+                       == lo.nic.timing.cqe_dma_ns for event in spans)
         finally:
             tracer.close()
 
@@ -532,16 +617,39 @@ class TestDataPathSpans:
             rig.run(rig.verbs.execute_sync_checked(
                 rig.qp_a, wr_write(src.addr, 64, dst.addr, dst_mr.rkey,
                                    signaled=True)))
-            names = {event[2] for event in tracer.events}
+            events = tracer.chrome_events()
+            names = {event["name"] for event in events}
             assert "dma:posted" in names
-            wires = [event for event in tracer.events
-                     if event[1] == "wire"]
+            wires = [event for event in events
+                     if event.get("cat") == "wire"]
             assert wires
             # Request carries the 64B payload; the ack is header-only.
-            assert any(event[7]["bytes"] == 64 for event in wires)
-            assert all(event[6] > 0 for event in wires)
+            assert any(event["args"]["bytes"] == 64 for event in wires)
+            assert all(event["dur"] > 0 for event in wires)
         finally:
             tracer.close()
+
+    def test_tracer_attached_mid_flight_spans_from_exec_start(self, lo):
+        """WRs already executing when the tracer attaches still get done
+        spans that start at their execute time, before the attach."""
+        src, _ = lo.buffer(4096)
+        dst, dst_mr = lo.buffer(4096)
+        for index in range(4):
+            lo.qp_a.post_send(wr_write(src.addr, 4096, dst.addr,
+                                       dst_mr.rkey, signaled=True,
+                                       wr_id=index))
+        lo.sim.run(until=1_200)
+        attached = lo.sim.now
+        tracer = Tracer(lo.sim, name="late")
+        try:
+            lo.sim.run()
+            spans = [event for event in tracer.chrome_events()
+                     if event["name"] == "op:WRITE"]
+        finally:
+            tracer.close()
+        assert len(spans) == 4
+        assert any(span["ts"] * 1000 < attached for span in spans)
+        assert all(span["dur"] > 0 for span in spans)
 
     #: sha256 of the sorted Chrome events of the pipelined remote
     #: WRITE/READ/CAS run below. Same-nanosecond hook calls may come in
@@ -568,6 +676,7 @@ class TestDataPathSpans:
                 rig.qp_a.post_send(wqe)
             rig.sim.run()
             events = tracer.chrome_events()
+            journal = load_journal(tracer.to_jsonl())
         finally:
             tracer.close()
         statuses = [cqe.status
@@ -577,14 +686,18 @@ class TestDataPathSpans:
         assert len(lines) == 78
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == self.SORTED_REMOTE_VERBS_SHA256
+        # The dumped journal re-renders the same trace, byte for byte.
+        assert json.dumps(chrome_events(journal.records),
+                          sort_keys=True) == json.dumps(events,
+                                                        sort_keys=True)
 
     def test_no_wire_spans_on_loopback(self, lo):
         tracer = Tracer(lo.sim, name="test")
         tracer.attach_nic(lo.nic)
         try:
             drive_write_chain(lo, count=2)
-            assert not [event for event in tracer.events
-                        if event[1] == "wire"]
+            assert not [event for event in tracer.chrome_events()
+                        if event.get("cat") == "wire"]
         finally:
             tracer.close()
 

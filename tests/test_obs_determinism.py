@@ -23,13 +23,20 @@ cannot silently change any artifact.
 
 import hashlib
 import itertools
+import json
 
 import pytest
 
 from repro.ibv import VerbsContext, wr_fetch_add, wr_noop, wr_write
 from repro.memory import HostMemory, ProtectionDomain
 from repro.nic import RNIC
-from repro.obs import FleetTelemetry, FlightRecorder, Tracer
+from repro.obs import (
+    FleetTelemetry,
+    FlightRecorder,
+    Tracer,
+    chrome_events,
+    load_journal,
+)
 from repro.redn import ProgramBuilder, RecycledLoop, RednContext
 from repro.sim import Simulator
 
@@ -50,13 +57,15 @@ SINKS = ("tracer", "recorder", "telemetry")
 
 
 def run_scenario(trace: bool, record: bool = False,
-                 telemetry: bool = False, order=SINKS):
+                 telemetry: bool = False, order=SINKS,
+                 tracer_journal: bool = False):
     """A mixed workload: recycled self-modifying loop + WRITE chain.
 
     Returns (outputs, fingerprint): ``outputs`` maps each attached sink
     kind to its output — the tracer's Chrome JSON, the recorder's
-    journal JSONL, the telemetry window JSONL. The selected sinks are
-    attached in ``order``.
+    journal JSONL, the telemetry window JSONL (plus, with
+    ``tracer_journal``, the tracer's own journal JSONL). The selected
+    sinks are attached in ``order``.
     """
     sim, memory, nic, pd, qp_a, qp_b, verbs = build_rig()
     tracer = None
@@ -114,6 +123,8 @@ def run_scenario(trace: bool, record: bool = False,
     outputs = {}
     if tracer is not None:
         outputs["tracer"] = tracer.to_json()
+        if tracer_journal:
+            outputs["tracer_journal"] = tracer.to_jsonl()
         tracer.close()
     if recorder is not None:
         outputs["recorder"] = recorder.to_jsonl()
@@ -219,3 +230,16 @@ def test_sink_outputs_match_pinned_digests(alone):
     digests = {kind: hashlib.sha256(text.encode()).hexdigest()
                for kind, text in alone.items()}
     assert digests == PINNED_SHA256
+
+
+def test_tracer_journal_rerenders_trace_byte_identical():
+    """A traced run's journal is the whole trace: rendering the dumped
+    journal offline reproduces the live Chrome JSON byte for byte."""
+    outputs, _ = run_scenario(trace=True, tracer_journal=True)
+    records = load_journal(outputs["tracer_journal"]).records
+    offline = json.dumps({"traceEvents": chrome_events(records),
+                          "displayTimeUnit": "ns"},
+                         sort_keys=True, separators=(",", ":"))
+    assert offline == outputs["tracer"]
+    assert hashlib.sha256(offline.encode()).hexdigest() == \
+        PINNED_SHA256["tracer"]

@@ -388,6 +388,32 @@ def test_openmetrics_multi_bed_export():
         assert parsed["counters"]["rpc_calls"] == {"get": 10 * scale}
 
 
+# -- no environment knobs ---------------------------------------------------
+
+
+def test_builders_ignore_telemetry_environment(monkeypatch, tmp_path):
+    """Telemetry is attached only when a caller asks for it: the
+    REPRO_TELEMETRY / REPRO_EXEMPLARS variables switch nothing on."""
+    from repro.bench.cluster import build_cluster
+    from repro.bench.fleet import build_fleet
+
+    monkeypatch.setenv("REPRO_TELEMETRY", str(tmp_path / "leak.jsonl"))
+    monkeypatch.setenv("REPRO_EXEMPLARS", "4")
+    assert not _obs.enabled
+    scenarios = [build_fleet(num_shards=2, clients_per_shard=2,
+                             requests_per_client=1),
+                 build_cluster(num_beds=4, clients_per_bed=1,
+                               requests_per_client=1)]
+    for scenario in scenarios:
+        assert scenario._telemetry is None
+        assert all(rig.shard.sim.telemetry is None
+                   for rig in scenario.rigs)
+    assert not _obs.enabled
+    _, measures = scenarios[0].run()
+    assert "telemetry_records" not in measures
+    assert not (tmp_path / "leak.jsonl").exists()
+
+
 # -- cluster end-to-end: byte-identity + fingerprint neutrality -----------
 
 

@@ -19,6 +19,7 @@ import pytest
 from repro.ibv import wr_write
 from repro.obs import (
     FlightRecorder,
+    Tracer,
     causal_slice,
     diff_journals,
     load_journal,
@@ -29,8 +30,10 @@ from repro.redn import ProgramBuilder, RednContext
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_if_scenario(compare_id, tmp_path, label, fetch_delta_ns=0):
-    """The emit_if construct under a flight recorder.
+def run_if_scenario(compare_id, tmp_path, label, fetch_delta_ns=0,
+                    traced=False):
+    """The emit_if construct under a flight recorder (or, with
+    ``traced``, a tracer, whose journal is a superset).
 
     ``compare_id`` arms (or not) the branch WQE via CAS;
     ``fetch_delta_ns`` perturbs the NIC's WQE fetch latency without
@@ -44,8 +47,8 @@ def run_if_scenario(compare_id, tmp_path, label, fetch_delta_ns=0):
         lo.nic.timing = dataclasses.replace(
             lo.nic.timing,
             wqe_fetch_ns=lo.nic.timing.wqe_fetch_ns + fetch_delta_ns)
-    recorder = FlightRecorder(lo.sim, name=label,
-                              checkpoint_interval=16)
+    recorder = (Tracer(lo.sim, name=label) if traced else
+                FlightRecorder(lo.sim, name=label, checkpoint_interval=16))
     recorder.attach_nic(lo.nic)
     ctx = RednContext(lo.nic, lo.pd, owner="test-redn")
     builder = ProgramBuilder(ctx, name="if-test")
@@ -204,37 +207,20 @@ class TestCausalKeys:
         assert key_a != key_b
 
 
-class TestChromeTraceAdapter:
-    def test_trace_diff_on_chrome_exports(self, tmp_path):
-        from conftest import LoopbackRig
-        from repro.obs import Tracer, load_trace
-        from repro.obs.tracediff import records_from_trace
-
-        def run_traced(writes, label):
-            lo = LoopbackRig()
-            tracer = Tracer(lo.sim, name=label)
-            tracer.attach_nic(lo.nic)
-            src, _ = lo.buffer(64)
-            dst, dst_mr = lo.buffer(64)
-            for index in range(writes):
-                lo.qp_a.post_send(
-                    wr_write(src.addr, 64, dst.addr, dst_mr.rkey,
-                             signaled=True, wr_id=index))
-
-            def run():
-                yield lo.sim.timeout(300_000)
-
-            lo.run(run())
-            path = tmp_path / f"{label}.json"
-            tracer.export_chrome(path)
-            tracer.close()
-            return records_from_trace(load_trace(path))
-
-        records_a = run_traced(3, "a")
-        records_b = run_traced(3, "b")
-        assert records_a == records_b
-        assert any(record["kind"] == "post" for record in records_a)
-        assert any(record["kind"] == "cqe" for record in records_a)
+class TestTracerJournals:
+    def test_wqe_byte_flip_is_typed(self, tmp_path):
+        """A tracer journal carries slot bytes: one flipped CAS compare
+        byte diffs as a field-resolved ``wqe_bytes`` divergence, ahead
+        of every span record it perturbs."""
+        journal_a = run_if_scenario(0x42, tmp_path, "a", traced=True)
+        same = run_if_scenario(0x42, tmp_path, "same", traced=True)
+        journal_b = run_if_scenario(0x43, tmp_path, "b", traced=True)
+        assert any(record["kind"] == "pu" for record in journal_a.records)
+        assert diff_journals(journal_a, same).identical
+        first = diff_journals(journal_a, journal_b).first
+        assert first.kind == "wqe_bytes"
+        assert first.a["op"] == "CAS"
+        assert "operand0: 0x42 -> 0x43" in first.detail
 
 
 class TestCli:

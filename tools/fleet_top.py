@@ -40,8 +40,7 @@ for path in (str(SRC), str(REPO_ROOT / "tools")):
 def run_cluster(args):
     from repro.bench.cluster import build_cluster
 
-    # telemetry_path="" suppresses the REPRO_TELEMETRY env fallback —
-    # this tool attaches its own fleet with the requested window.
+    # This tool attaches its own fleet with the requested window.
     scenario = build_cluster(num_beds=args.beds,
                              clients_per_bed=args.clients,
                              requests_per_client=args.requests,

@@ -10,9 +10,8 @@ Every difference is typed (``wqe_bytes`` with chain-IR field names,
 ``cqe_count``), and the earliest one is printed together with a causal
 slice of the events that fed it.
 
-Chrome traces (``.json`` exports from the tracer) are accepted too;
-they carry no slot byte images, so field-level WQE diffs degrade to
-plain field compares.
+A tracer journal (``Tracer.dump``) is a journal too: it carries the
+same causal records, slot bytes included, plus the trace's span records.
 
 Exit status: 0 when causally identical; with ``--fail-on-divergence``,
 2 when any divergence was found (1 is reserved for usage/parse
@@ -32,24 +31,12 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from repro.obs.recorder import Journal, JournalError, load_journal  # noqa: E402
-from repro.obs.tracediff import (  # noqa: E402
-    diff_journals,
-    records_from_trace,
-    render_report,
-)
+from repro.obs.tracediff import diff_journals, render_report  # noqa: E402
 
 
 def _load(path: str) -> Journal:
-    """A journal from a JSONL dump or a Chrome trace JSON export."""
+    """A journal from a JSONL dump."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{") and '"traceEvents"' in text[:200]:
-        from repro.obs.inspect import load_trace
-        records = records_from_trace(load_trace(path))
-        return Journal({"kind": "meta", "schema": 1,
-                        "name": path, "first_seq": 0,
-                        "next_seq": len(records)},
-                       records, [])
     return load_journal(text if "\n" in text else [text])
 
 
