@@ -155,6 +155,13 @@ class ClusterScenario:
 
     def __init__(self, num_beds: int, clients_per_bed: int,
                  requests_per_client: int, link_ns: int):
+        if num_beds < 3:
+            # The ring links each bed to its successor in both
+            # directions: two beds would link one pair twice, and one
+            # bed would link a shard to itself.
+            raise ValueError(
+                f"a cluster needs num_beds >= 3 for its bed ring, "
+                f"got {num_beds}")
         self.num_beds = num_beds
         self.clients_per_bed = clients_per_bed
         self.requests_per_client = requests_per_client

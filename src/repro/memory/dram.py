@@ -254,8 +254,12 @@ class HostMemory:
                 f"access [{addr:#x},{addr + length:#x}) outside DRAM")
 
     def read(self, addr: int, length: int) -> bytes:
-        self._check(addr, length)
-        return bytes(self._view[addr:addr + length])
+        # The checks of _check, inlined: slicing the mapping clamps out
+        # of range bounds silently, so they must run first.
+        end = addr + length
+        if length < 0 or addr < self.BASE_ADDR or end > self.size:
+            self._check(addr, length)
+        return self._bytes[addr:end]
 
     def view(self, addr: int, length: int) -> memoryview:
         """Zero-copy read-only window into DRAM.
@@ -279,8 +283,10 @@ class HostMemory:
                 self._trace_hook(addr, length)
 
     def read_uint(self, addr: int, width: int) -> int:
-        self._check(addr, width)
-        return int.from_bytes(self._view[addr:addr + width], "big")
+        end = addr + width
+        if width < 0 or addr < self.BASE_ADDR or end > self.size:
+            self._check(addr, width)
+        return int.from_bytes(self._bytes[addr:end], "big")
 
     def write_uint(self, addr: int, value: int, width: int) -> None:
         self.write(addr, pack_uint(value, width))
@@ -289,7 +295,7 @@ class HostMemory:
         if addr < self.BASE_ADDR or addr + 8 > self.size:
             raise MemoryError_(
                 f"access [{addr:#x},{addr + 8:#x}) outside DRAM")
-        return int.from_bytes(self._view[addr:addr + 8], "big")
+        return int.from_bytes(self._bytes[addr:addr + 8], "big")
 
     def write_u64(self, addr: int, value: int) -> None:
         if addr < self.BASE_ADDR or addr + 8 > self.size:

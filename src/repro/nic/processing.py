@@ -22,7 +22,7 @@ the behavioural core of the reproduction:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from .. import obs as _obs
 from ..memory.dram import MemoryError_
@@ -50,8 +50,15 @@ class SendQueueDriver:
         # identical to the old private Counter.
         self.stats = nic.sim.metrics.counter(
             f"nic.{nic.name}.wq.{wq.name}.fetch")
-        self._prev_completion: Event = nic.sim.event()
-        self._prev_completion.trigger(None)
+        # In-order retirement: data WRs take tickets in execution
+        # order and retire strictly in ticket order. An Event exists
+        # only for a WR whose data path finished ahead of an older one
+        # (parked by ticket) or for a FENCE waiting on every ticketed
+        # WR.
+        self._next_ticket = 0
+        self._retired = 0
+        self._parked: Dict[int, Event] = {}
+        self._fence: Optional[Event] = None
         self.process = None
         # Port-derived lookups are fixed once the RNIC adopts the queue;
         # resolved lazily on first use and cached for the hot loop.
@@ -166,7 +173,9 @@ class SendQueueDriver:
         # Only the NIC-level counter bumps: it is the one canonical
         # per-opcode count in the metrics snapshot (the driver used to
         # keep a duplicate that could silently drift).
-        op_name = OPCODE_NAMES.get(opcode, f"OP{opcode:#x}")
+        op_name = OPCODE_NAMES.get(opcode)
+        if op_name is None:
+            op_name = f"OP{opcode:#x}"
         nic_stats = self.nic.stats
         nic_stats[op_name] += 1
         nic_stats["total_wrs"] += 1
@@ -204,7 +213,13 @@ class SendQueueDriver:
             return
 
         if wqe.flags & WrFlags.FENCE:
-            yield self._prev_completion
+            if self._retired == self._next_ticket:
+                # Nothing in flight. Still yield once, so that a FENCE
+                # costs one kernel event whether or not it waits.
+                yield 0
+            else:
+                self._fence = fence = Event(sim)
+                yield fence
 
         pu = self._pu
         if pu is None:
@@ -215,25 +230,24 @@ class SendQueueDriver:
             for hook in sim.hooks.pu:
                 hook(self.nic, wq, opcode, pu_start)
 
-        prev = self._prev_completion
-        done = sim.event()
-        self._prev_completion = done
+        ticket = self._next_ticket
+        self._next_ticket = ticket + 1
         if wq.managed:
             # Doorbell ordering executes run-to-completion: the fetch
             # context is held until the WR finishes, so the next WQE is
             # neither fetched nor executed before this one completes —
             # exactly the consistency self-modifying chains need (§3.1)
             # and why "no latency-hiding is possible" in Fig 8.
-            yield from self._complete(wqe, wr_index, prev, done, exec_start)
+            yield from self._complete(wqe, wr_index, ticket, exec_start)
         else:
             # WQ ordering pipelines: the data path runs asynchronously
-            # and completions chain on ``prev`` so CQEs are delivered
-            # strictly in WR order.
-            sim.process(self._complete(wqe, wr_index, prev, done,
-                                       exec_start),
-                        name=f"op:{self.wq.name}:{wr_index}")
+            # and retires by ticket, so CQEs are delivered strictly in
+            # WR order. The name is formatted only if something reads
+            # it (a failed process is reported by name).
+            sim.process(self._complete(wqe, wr_index, ticket, exec_start),
+                        "op:{}:{}", wq.name, wr_index)
 
-    def _complete(self, wqe: Wqe, wr_index: int, prev: Event, done: Event,
+    def _complete(self, wqe: Wqe, wr_index: int, ticket: int,
                   exec_start: int):
         status, byte_len, immediate = "OK", 0, 0
         try:
@@ -245,15 +259,29 @@ class SendQueueDriver:
             status = "MEMORY_ERROR"
         except QueueError:
             status = "QUEUE_ERROR"
-        if not prev.triggered:
-            yield prev
+        if self._retired != ticket:
+            # An older WR is still in flight: wait for its retirement.
+            self._parked[ticket] = parked = Event(self.nic.sim)
+            yield parked
         if _obs.enabled:
             for hook in self.nic.sim.hooks.done:
                 hook(self.wq, wr_index, wqe, status, byte_len, exec_start)
         if wqe.signaled or status != "OK":
             self._signal(wqe, wr_index, status=status, byte_len=byte_len,
                          immediate=immediate)
-        done.trigger(None)
+        self._retired = retired = ticket + 1
+        # Wake the next WR if its data path finished first, or a FENCE
+        # once nothing is in flight (never both: a parked successor is
+        # itself in flight).
+        if self._parked:
+            successor = self._parked.pop(retired, None)
+            if successor is not None:
+                successor.trigger(None)
+                return
+        fence = self._fence
+        if fence is not None and retired == self._next_ticket:
+            self._fence = None
+            fence.trigger(None)
 
     # -- completion helpers ---------------------------------------------------
 

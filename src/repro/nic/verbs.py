@@ -76,51 +76,71 @@ class VerbExecutor:
         raise QueueError(f"opcode {opcode:#x} is not executable here")
 
     # -- helpers --------------------------------------------------------------
+    #
+    # Each hop of a verb is a plain function that reserves its lane and
+    # returns the sleep to take; the verb yields that sleep itself and
+    # then fires the hop's obs hooks through the ``*_span`` helpers. No
+    # hop creates a generator, so no resume passes through a hop frame.
 
-    def _traverse(self, src_qp: QueuePair, nbytes: int,
-                  rx_ns: int = 0) -> Generator:
-        """Move a message from ``src_qp``'s NIC to its peer's NIC.
+    @staticmethod
+    def _traverse(src_qp: QueuePair, nbytes: int, rx_ns: int = 0) -> int:
+        """Reserve the wire for a message from ``src_qp`` to its peer.
 
-        One sleep covers the wire hold, the link latency and ``rx_ns``
-        of responder-side inbound processing: nothing between them is
-        observable, so the wire span's end is computed, not slept to.
-        Loopback QPs have no wire hop and no RX processing.
+        Returns the one sleep that covers the wire hold, the link
+        latency and ``rx_ns`` of responder-side inbound processing:
+        nothing between them is observable, so the wire span's end is
+        computed, not slept to (see :meth:`_wire_span`). Loopback QPs
+        have no wire hop and no RX processing: the sleep is 0.
         """
-        if src_qp.is_loopback:
-            return
         nic = src_qp.nic
         dst_nic = src_qp.peer.nic
+        if dst_nic is nic:
+            return 0
         start = nic.sim.now
         serialization = nic.timing.payload_wire_ns(nbytes + _HEADER_BYTES)
         wire_end = (nic.ports[src_qp.port_index].wire.reserve(serialization)
                     if serialization > 0 else start)
-        arrival = wire_end + nic.link_latency_to(dst_nic)
-        delay = arrival + rx_ns - start
-        if delay > 0:
-            yield delay
-        if _obs.enabled:
-            for hook in nic.sim.hooks.wire:
-                hook(nic, dst_nic, nbytes, start, arrival)
+        return wire_end + nic.link_latency_to(dst_nic) + rx_ns - start
 
-    def _dma_txn(self, nic: "RNIC", kind: str, ns: int) -> Generator:
-        """One posted/non-posted DMA transaction latency (a dma span)."""
-        if ns <= 0:
+    @staticmethod
+    def _wire_span(src_qp: QueuePair, nbytes: int, start: int,
+                   rx_ns: int = 0) -> None:
+        """Fire the wire hooks of a hop that started at ``start``.
+
+        Called after the hop's sleep, so the message arrived at the peer
+        NIC ``rx_ns`` ago. Loopback hops have no wire span.
+        """
+        if src_qp.is_loopback:
             return
-        start = nic.sim.now
-        yield ns
-        if _obs.enabled:
-            for hook in nic.sim.hooks.dma_txn:
-                hook(nic, kind, start)
+        nic = src_qp.nic
+        arrival = nic.sim.now - rx_ns
+        for hook in nic.sim.hooks.wire:
+            hook(nic, src_qp.peer.nic, nbytes, start, arrival)
 
-    def _dma_in(self, nic: "RNIC", nbytes: int) -> Generator:
-        """Initiator/responder DMA of a payload across PCIe (gather)."""
+    @staticmethod
+    def _dma_in(nic: "RNIC", nbytes: int) -> int:
+        """Reserve PCIe for a payload DMA (gather or scatter).
+
+        Returns the sleep to the end of the transfer, or 0 when there
+        are no bytes to move (and then there is no dma span either).
+        """
         cost = nic.timing.payload_pcie_ns(nbytes)
         if cost > 0:
-            start = nic.sim.now
-            yield nic.pcie.reserve(cost) - start
-            if _obs.enabled:
-                for hook in nic.sim.hooks.dma:
-                    hook(nic, nbytes, start)
+            return nic.pcie.reserve(cost) - nic.sim.now
+        return 0
+
+    @staticmethod
+    def _dma_span(nic: "RNIC", nbytes: int, start: int) -> None:
+        """Fire the dma hooks of a payload DMA that started at ``start``."""
+        for hook in nic.sim.hooks.dma:
+            hook(nic, nbytes, start)
+
+    @staticmethod
+    def _txn_span(nic: "RNIC", kind: str, start: int) -> None:
+        """Fire the dma_txn hooks of a DMA transaction latency (posted,
+        non-posted, atomic or calc) that started at ``start``."""
+        for hook in nic.sim.hooks.dma_txn:
+            hook(nic, kind, start)
 
     def _scatter_bytes(self, nic: "RNIC", data: bytes,
                        sges: List[Sge], laddr: int, length: int) -> int:
@@ -155,67 +175,145 @@ class VerbExecutor:
         """NOOP: no memory effect; remote QPs still pay a wire round trip
         (the paper's remote-vs-loopback NOOP difference, Fig 7)."""
         if qp is not None and qp.connected and not qp.is_loopback:
-            yield from self._traverse(qp, 0)
-            yield from self._traverse(qp.peer, 0)
+            sim = qp.nic.sim
+            for src_qp in (qp, qp.peer):
+                start = sim.now
+                delay = self._traverse(src_qp, 0)
+                if delay > 0:
+                    yield delay
+                if _obs.enabled:
+                    self._wire_span(src_qp, 0, start)
         return (0, 0)
 
     def _write(self, qp: QueuePair, wqe: Wqe) -> Generator:
         nic = qp.nic
+        sim = nic.sim
         peer = qp.peer
         rnic = peer.nic
         timing = rnic.timing
+        length = wqe.length
         # Gather payload from initiator memory.
-        yield from self._dma_in(nic, wqe.length)
-        data = nic.memory.read(wqe.laddr, wqe.length) if wqe.length else b""
-        yield from self._traverse(qp, wqe.length, timing.rx_process_ns)
-        peer.pd.validate_remote(wqe.rkey, wqe.raddr, max(1, wqe.length),
+        start = sim.now
+        delay = self._dma_in(nic, length)
+        if delay > 0:
+            yield delay
+            if _obs.enabled:
+                self._dma_span(nic, length, start)
+        data = nic.memory.read(wqe.laddr, length) if length else b""
+        start = sim.now
+        rx_ns = timing.rx_process_ns
+        delay = self._traverse(qp, length, rx_ns)
+        if delay > 0:
+            yield delay
+        if _obs.enabled:
+            self._wire_span(qp, length, start, rx_ns)
+        peer.pd.validate_remote(wqe.rkey, wqe.raddr, max(1, length),
                                 AccessFlags.REMOTE_WRITE)
         # Posted DMA write of the payload into responder memory.
-        yield from self._dma_txn(rnic, "posted", timing.dma_posted_ns)
-        yield from self._dma_in(rnic, wqe.length)
-        if wqe.length:
+        delay = timing.dma_posted_ns
+        if delay > 0:
+            start = sim.now
+            yield delay
+            if _obs.enabled:
+                self._txn_span(rnic, "posted", start)
+        start = sim.now
+        delay = self._dma_in(rnic, length)
+        if delay > 0:
+            yield delay
+            if _obs.enabled:
+                self._dma_span(rnic, length, start)
+        if length:
             rnic.memory.write(wqe.raddr, data)
         immediate = 0
         if wqe.opcode == Opcode.WRITE_IMM:
             immediate = wqe.operand0
             yield from self._consume_recv(peer, payload=None,
-                                          byte_len=wqe.length,
+                                          byte_len=length,
                                           immediate=immediate)
-        yield from self._traverse(peer, 0)  # ack
-        return (wqe.length, immediate)
+        start = sim.now
+        delay = self._traverse(peer, 0)  # ack
+        if delay > 0:
+            yield delay
+        if _obs.enabled:
+            self._wire_span(peer, 0, start)
+        return (length, immediate)
 
     def _read(self, qp: QueuePair, wqe: Wqe) -> Generator:
         nic = qp.nic
+        sim = nic.sim
         peer = qp.peer
         rnic = peer.nic
         timing = rnic.timing
-        yield from self._traverse(qp, 0, timing.rx_process_ns)  # request
-        peer.pd.validate_remote(wqe.rkey, wqe.raddr, max(1, wqe.length),
+        length = wqe.length
+        start = sim.now
+        rx_ns = timing.rx_process_ns
+        delay = self._traverse(qp, 0, rx_ns)  # request
+        if delay > 0:
+            yield delay
+        if _obs.enabled:
+            self._wire_span(qp, 0, start, rx_ns)
+        peer.pd.validate_remote(wqe.rkey, wqe.raddr, max(1, length),
                                 AccessFlags.REMOTE_READ)
         # Non-posted DMA read on the responder.
-        yield from self._dma_txn(rnic, "nonposted",
-                                 timing.dma_nonposted_ns)
-        yield from self._dma_in(rnic, wqe.length)
-        data = rnic.memory.read(wqe.raddr, wqe.length) if wqe.length else b""
-        yield from self._traverse(peer, wqe.length)  # response
+        delay = timing.dma_nonposted_ns
+        if delay > 0:
+            start = sim.now
+            yield delay
+            if _obs.enabled:
+                self._txn_span(rnic, "nonposted", start)
+        start = sim.now
+        delay = self._dma_in(rnic, length)
+        if delay > 0:
+            yield delay
+            if _obs.enabled:
+                self._dma_span(rnic, length, start)
+        data = rnic.memory.read(wqe.raddr, length) if length else b""
+        start = sim.now
+        delay = self._traverse(peer, length)  # response
+        if delay > 0:
+            yield delay
+        if _obs.enabled:
+            self._wire_span(peer, length, start)
         # Scatter into initiator memory (possibly across several WQEs).
         # The scatter is a posted write whose latency overlaps with CQE
         # delivery, so only its PCIe bandwidth share is charged here.
-        yield from self._dma_in(nic, wqe.length)
+        start = sim.now
+        delay = self._dma_in(nic, length)
+        if delay > 0:
+            yield delay
+            if _obs.enabled:
+                self._dma_span(nic, length, start)
         written = self._scatter_bytes(nic, data, wqe.sges, wqe.laddr,
-                                      wqe.length)
+                                      length)
         return (written, 0)
 
     def _send(self, qp: QueuePair, wqe: Wqe) -> Generator:
         nic = qp.nic
+        sim = nic.sim
         peer = qp.peer
-        yield from self._dma_in(nic, wqe.length)
-        data = nic.memory.read(wqe.laddr, wqe.length) if wqe.length else b""
-        yield from self._traverse(qp, wqe.length,
-                                  peer.nic.timing.rx_process_ns)
+        length = wqe.length
+        start = sim.now
+        delay = self._dma_in(nic, length)
+        if delay > 0:
+            yield delay
+            if _obs.enabled:
+                self._dma_span(nic, length, start)
+        data = nic.memory.read(wqe.laddr, length) if length else b""
+        start = sim.now
+        rx_ns = peer.nic.timing.rx_process_ns
+        delay = self._traverse(qp, length, rx_ns)
+        if delay > 0:
+            yield delay
+        if _obs.enabled:
+            self._wire_span(qp, length, start, rx_ns)
         byte_len = yield from self._consume_recv(
             peer, payload=data, byte_len=len(data), immediate=0)
-        yield from self._traverse(peer, 0)  # ack
+        start = sim.now
+        delay = self._traverse(peer, 0)  # ack
+        if delay > 0:
+            yield delay
+        if _obs.enabled:
+            self._wire_span(peer, 0, start)
         return (byte_len, 0)
 
     def _consume_recv(self, peer: QueuePair, payload: Optional[bytes],
@@ -253,9 +351,19 @@ class VerbExecutor:
             recv_wq.consume_lock.release(grant)
         written = byte_len
         if payload is not None:
-            yield from self._dma_txn(rnic, "posted",
-                                     timing.dma_posted_ns)
-            yield from self._dma_in(rnic, len(payload))
+            sim = rnic.sim
+            delay = timing.dma_posted_ns
+            if delay > 0:
+                start = sim.now
+                yield delay
+                if _obs.enabled:
+                    self._txn_span(rnic, "posted", start)
+            start = sim.now
+            delay = self._dma_in(rnic, len(payload))
+            if delay > 0:
+                yield delay
+                if _obs.enabled:
+                    self._dma_span(rnic, len(payload), start)
             written = self._scatter_bytes(
                 rnic, payload, recv_wqe.sges, recv_wqe.laddr,
                 recv_wqe.length)
@@ -267,33 +375,44 @@ class VerbExecutor:
 
     def _atomic(self, qp: QueuePair, wqe: Wqe) -> Generator:
         nic = qp.nic
+        sim = nic.sim
         peer = qp.peer
         rnic = peer.nic
         timing = rnic.timing
         # Operands travel in the request.
-        yield from self._traverse(qp, 16, timing.rx_process_ns)
+        start = sim.now
+        rx_ns = timing.rx_process_ns
+        delay = self._traverse(qp, 16, rx_ns)
+        if delay > 0:
+            yield delay
+        if _obs.enabled:
+            self._wire_span(qp, 16, start, rx_ns)
         peer.pd.validate_remote(wqe.rkey, wqe.raddr, 8,
                                 AccessFlags.REMOTE_ATOMIC)
         port = rnic.ports[peer.port_index]
         unit_end = port.atomic_unit.reserve(timing.atomic_unit_ns)
         txn_start = unit_end - timing.atomic_unit_ns
-        yield unit_end - nic.sim.now
+        yield unit_end - sim.now
         if wqe.opcode == Opcode.CAS:
             original = rnic.memory.compare_and_swap_u64(
                 wqe.raddr, wqe.operand0, wqe.operand1)
         else:
             original = rnic.memory.fetch_add_u64(wqe.raddr, wqe.operand0)
         if _obs.enabled:
-            for hook in nic.sim.hooks.atomic:
+            for hook in sim.hooks.atomic:
                 hook(rnic, qp.send_wq, wqe, original)
         # Remaining PCIe-atomic transaction latency happens off-unit.
         remaining = timing.atomic_pcie_ns - timing.atomic_unit_ns
         if remaining > 0:
             yield remaining
         if _obs.enabled:
-            for hook in nic.sim.hooks.dma_txn:
-                hook(rnic, "atomic", txn_start)
-        yield from self._traverse(peer, 8)  # original value returns
+            self._txn_span(rnic, "atomic", txn_start)
+        start = sim.now
+        delay = self._traverse(peer, 8)  # original value returns
+        if delay > 0:
+            yield delay
+        if _obs.enabled:
+            self._wire_span(peer, 8, start)
         if wqe.laddr:
             nic.memory.write_u64(wqe.laddr, original)
         return (8, 0)
@@ -301,25 +420,41 @@ class VerbExecutor:
     def _calc(self, qp: QueuePair, wqe: Wqe) -> Generator:
         """Mellanox vendor calc verbs (MAX/MIN, §3.5 inequality support)."""
         nic = qp.nic
+        sim = nic.sim
         peer = qp.peer
         rnic = peer.nic
         timing = rnic.timing
         if not rnic.model.supports_calc_verbs:
             raise QueueError(
                 f"{rnic.model.name} does not support calc verbs")
-        yield from self._traverse(qp, 16, timing.rx_process_ns)
+        start = sim.now
+        rx_ns = timing.rx_process_ns
+        delay = self._traverse(qp, 16, rx_ns)
+        if delay > 0:
+            yield delay
+        if _obs.enabled:
+            self._wire_span(qp, 16, start, rx_ns)
         peer.pd.validate_remote(wqe.rkey, wqe.raddr, 8,
                                 AccessFlags.REMOTE_WRITE
                                 | AccessFlags.REMOTE_READ)
-        yield from self._dma_txn(
-            rnic, "calc", timing.dma_nonposted_ns + timing.calc_alu_ns)
+        delay = timing.dma_nonposted_ns + timing.calc_alu_ns
+        if delay > 0:
+            start = sim.now
+            yield delay
+            if _obs.enabled:
+                self._txn_span(rnic, "calc", start)
         original = rnic.memory.read_u64(wqe.raddr)
         if wqe.opcode == Opcode.MAX:
             result = max(original, wqe.operand0)
         else:
             result = min(original, wqe.operand0)
         rnic.memory.write_u64(wqe.raddr, result)
-        yield from self._traverse(peer, 8)
+        start = sim.now
+        delay = self._traverse(peer, 8)
+        if delay > 0:
+            yield delay
+        if _obs.enabled:
+            self._wire_span(peer, 8, start)
         if wqe.laddr:
             nic.memory.write_u64(wqe.laddr, original)
         return (8, 0)

@@ -112,7 +112,7 @@ class Event:
 
     def __repr__(self) -> str:
         state = "triggered" if self.triggered else "pending"
-        return f"<Event {self.name or id(self):x} {state}>"
+        return f"<Event {self.name or hex(id(self))} {state}>"
 
     @property
     def ok(self) -> bool:
@@ -333,11 +333,21 @@ class Process(Event):
     other simply by yielding the target process.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_sleep_token")
+    __slots__ = ("_generator", "_waiting_on", "_sleep_token", "_name_fmt",
+                 "_name_args")
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator,
-                 name: str = ""):
-        super().__init__(sim, name=name or getattr(generator, "__name__", ""))
+                 name: str = "", *name_args: Any):
+        # A NIC spawns one process per WQ-ordered work request, so the
+        # spawn sets Event's fields itself (no super().__init__ call)
+        # and leaves the name unformatted until something reads it.
+        self.sim = sim
+        self.triggered = False
+        self.value = None
+        self.exception = None
+        self._callbacks = None
+        self._name_fmt = name
+        self._name_args = name_args
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         # Monotonic token identifying the current bare-delay sleep (a
@@ -346,6 +356,19 @@ class Process(Event):
         self._sleep_token = 0
         # Kick off on the next kernel step at the current time.
         sim._immediate.append((self._resume, (None, None)))
+
+    @property
+    def name(self) -> str:
+        """``name.format(*name_args)``, or the generator's name if empty.
+
+        Formatted on first read and cached; the spawn itself formats
+        nothing.
+        """
+        args = self._name_args
+        if args:
+            self._name_fmt = self._name_fmt.format(*args)
+            self._name_args = ()
+        return self._name_fmt or getattr(self._generator, "__name__", "")
 
     def __repr__(self) -> str:
         state = "done" if self.triggered else "running"
@@ -413,7 +436,14 @@ class Process(Event):
             self._sleep_token = token = self._sleep_token + 1
             sim = self.sim
             if target:
-                sim._push_future(sim.now + target, self._sleep_fire, token)
+                # Simulator._push_future, inlined: this is the sleep of
+                # nearly every process step.
+                sim._seq = seq = sim._seq + 1
+                heap = sim._heap
+                heappush(heap, (sim.now + target, seq, self._sleep_fire,
+                                token))
+                if len(heap) > sim._heap_peak:
+                    sim._heap_peak = len(heap)
             else:
                 sim._immediate.append((self._sleep_fire, token))
         elif isinstance(target, Event):
@@ -528,10 +558,10 @@ class Simulator:
     def _push_future(self, time: int, callback: Callable, payload: Any) -> None:
         """Heap-push a future callback with the shared seq/peak bookkeeping.
 
-        Single point of truth for the ``(time, seq, callback, payload)``
-        entry layout — Timeout, bare-delay sleeps and schedule_at all
-        route through here so the determinism-critical sequence counter
-        is consumed in exactly one place.
+        The ``(time, seq, callback, payload)`` entry layout and the
+        determinism-critical sequence counter live here and in one
+        inlined copy, the bare-delay sleep of ``Process._step``; keep
+        the two in step.
         """
         heap = self._heap
         self._seq = seq = self._seq + 1
@@ -557,9 +587,15 @@ class Simulator:
     def timeout(self, delay: int, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
 
-    def process(self, generator: ProcessGenerator, name: str = "") -> Process:
+    def process(self, generator: ProcessGenerator, name: str = "",
+                *name_args: Any) -> Process:
+        """Start ``generator`` as a process at the current time.
+
+        With ``name_args`` the name is ``name.format(*name_args)``,
+        formatted only when read (see :attr:`Process.name`).
+        """
         self._processes_started += 1
-        return Process(self, generator, name=name)
+        return Process(self, generator, name, *name_args)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

@@ -281,6 +281,32 @@ class TestLazyDram:
             with pytest.raises(MemoryError_):
                 access()
 
+    def test_sliced_reads_check_bounds_and_length(self):
+        """read/read_uint/read_u64 slice the mapping, which would clamp
+        a bad range silently: each must still raise instead."""
+        memory = HostMemory(size=self.MB)
+        end = memory.size
+        base = memory.BASE_ADDR
+        memory.write(end - 8, b"tail-end")
+        assert memory.read(end - 8, 8) == b"tail-end"
+        assert type(memory.read(base, 4)) is bytes
+        assert memory.read(base, 0) == b""
+        assert memory.read_uint(end - 4, 4) == int.from_bytes(b"-end", "big")
+        assert memory.read_u64(end - 8) == int.from_bytes(b"tail-end", "big")
+        for access in (lambda: memory.read(end - 7, 8),
+                       lambda: memory.read(end + 1, 0),
+                       lambda: memory.read(base - 1, 1),
+                       lambda: memory.read_uint(end - 3, 4),
+                       lambda: memory.read_uint(base - 4, 4),
+                       lambda: memory.read_u64(base - 8),
+                       lambda: memory.read_u64(end - 4)):
+            with pytest.raises(MemoryError_, match="outside DRAM"):
+                access()
+        for access in (lambda: memory.read(base + 64, -1),
+                       lambda: memory.read_uint(base + 64, -8)):
+            with pytest.raises(MemoryError_, match="negative access length"):
+                access()
+
 
 class TestProtection:
     def _pd(self):

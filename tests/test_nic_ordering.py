@@ -335,6 +335,125 @@ class TestCompletionOrdering:
         assert rig.run(run()) == [0, 1, 2, 3]
 
 
+class TestInOrderRetirement:
+    """WQ-ordered data paths overlap, but WRs retire in WR order."""
+
+    @staticmethod
+    def _drain(rig):
+        rig.sim.run()
+        cqes = []
+        cqe = rig.qp_a.send_wq.cq.poll()
+        while cqe is not None:
+            cqes.append(cqe)
+            cqe = rig.qp_a.send_wq.cq.poll()
+        return cqes
+
+    def _read_then_writes(self, rig, fence=False):
+        """A 64 KB READ, then three 8-byte signaled WRITEs."""
+        big, big_mr = rig.buffer("b", 1 << 16)
+        sink, _ = rig.buffer("a", 1 << 16)
+        src, _ = rig.buffer("a", 8)
+        dst, dst_mr = rig.buffer("b", 64)
+        rig.mem_a.write(src.addr, b"W" * 8)
+        rig.qp_a.post_send(wr_read(sink.addr, 1 << 16, big.addr,
+                                   big_mr.rkey, wr_id=0, signaled=True))
+        for index in range(1, 4):
+            wqe = wr_write(src.addr, 8, dst.addr + 8 * index, dst_mr.rkey,
+                           wr_id=index, signaled=True)
+            if fence and index == 1:
+                wqe.flags |= WrFlags.FENCE
+            rig.qp_a.post_send(wqe)
+        return dst
+
+    def test_short_writes_behind_long_read_complete_in_wr_order(self, rig):
+        dst = self._read_then_writes(rig)
+        cqes = self._drain(rig)
+        assert [c.wr_id for c in cqes] == [0, 1, 2, 3]
+        assert all(c.ok for c in cqes)
+        # The WRITEs' data paths finished first and waited: all three
+        # retire in the same instant as the READ they queued behind.
+        assert {c.timestamp for c in cqes} == {cqes[0].timestamp}
+        assert rig.mem_b.read(dst.addr + 8, 24) == b"W" * 24
+
+    def test_fenced_write_waits_for_in_flight_read(self, rig):
+        dst = self._read_then_writes(rig, fence=True)
+        read_done = []
+
+        def watch():
+            # The fenced WRITE must not touch memory before the READ
+            # retires: sample the sink just before the READ's CQE.
+            cq = rig.qp_a.send_wq.cq
+            yield cq.wait_for_count(1, 0)
+            read_done.append((rig.sim.now,
+                              rig.mem_b.read(dst.addr + 8, 8)))
+
+        rig.sim.process(watch())
+        cqes = self._drain(rig)
+        assert [c.wr_id for c in cqes] == [0, 1, 2, 3]
+        read_ns = cqes[0].timestamp
+        assert read_done[0][1] == bytes(8)
+        # The fenced WRITE ran its whole data path after the READ.
+        assert all(c.timestamp > read_ns for c in cqes[1:])
+        assert rig.mem_b.read(dst.addr + 8, 8) == b"W" * 8
+
+    def test_crashed_data_path_is_reported_under_its_queue(self, rig,
+                                                          monkeypatch):
+        """A non-verb error in a data path fails its op process, named
+        after the queue and WR index (FleetError reports that name)."""
+        src, _ = rig.buffer("a", 8)
+        dst, dst_mr = rig.buffer("b", 8)
+        executor = rig.nic_a.executor
+
+        def broken_write(qp, wqe):
+            yield 10
+            raise RuntimeError("model bug")
+
+        monkeypatch.setattr(executor, "_write", broken_write)
+        rig.qp_a.post_send(wr_write(src.addr, 8, dst.addr, dst_mr.rkey,
+                                    signaled=True))
+        rig.sim.run()
+        [failed] = rig.sim.failed_processes
+        assert failed.name == f"op:{rig.qp_a.send_wq.name}:0"
+        assert isinstance(failed.exception, RuntimeError)
+        assert rig.qp_a.send_wq.cq.poll() is None
+
+    @pytest.mark.parametrize("fence_at, events, processes, cqe_ns", [
+        (None, 88, 12, 2823),
+        (0, 89, 12, 2823),      # FENCE with nothing in flight
+        (6, 88, 12, 3730),      # FENCE behind six in-flight WRs
+    ])
+    def test_write_cas_burst_kernel_cost_is_pinned(self, rig, fence_at,
+                                                   events, processes,
+                                                   cqe_ns):
+        """Kernel events and process spawns of a fixed 12-WR burst: a
+        host-only refactor of the WR lifecycle must not move them. One
+        op process per WR; a FENCE that finds the queue idle still
+        costs its one immediate slot."""
+        src, _ = rig.buffer("a", 64)
+        dst, dst_mr = rig.buffer("b", 128)
+        rig.sim.run()
+        before = rig.sim.stats
+        start = rig.sim.now
+        for index in range(12):
+            if index % 3 == 2:
+                wqe = wr_cas(dst.addr, dst_mr.rkey, index // 3,
+                             index // 3 + 1, signaled=index == 11)
+            else:
+                wqe = wr_write(src.addr, 64, dst.addr + 64, dst_mr.rkey,
+                               signaled=index == 11)
+            if index == fence_at:
+                wqe.flags |= WrFlags.FENCE
+            rig.qp_a.post_send(wqe)
+        cqes = self._drain(rig)
+        assert [(c.status, c.timestamp - start) for c in cqes] == [
+            ("OK", cqe_ns)]
+        assert rig.mem_b.read_u64(dst.addr) == 4
+        after = rig.sim.stats
+        assert (after["events_executed"] - before["events_executed"],
+                after["processes_started"]
+                - before["processes_started"]) == (events, processes)
+
+
 class TestRateLimiter:
     def test_wq_rate_limit_paces_execution(self, lo):
         """§3.5 isolation: a rate-limited WQ cannot exceed its budget."""

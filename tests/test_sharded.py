@@ -268,6 +268,24 @@ class TestClusterBitIdentity:
         second = self._drive(serial=False)
         assert first == second
 
+    @pytest.mark.parametrize("num_beds", [1, 2])
+    def test_fewer_than_three_beds_rejected_before_build(self, monkeypatch,
+                                                         num_beds):
+        """One bed would link a shard to itself and two would link one
+        pair twice; the size is refused before any testbed exists."""
+        import repro.bench.cluster as cluster
+
+        def no_testbed(*args, **kwargs):
+            raise AssertionError("a testbed was built")
+
+        monkeypatch.setattr(cluster, "Testbed", no_testbed)
+        config = dict(self.CONFIG, num_beds=num_beds)
+        with pytest.raises(ValueError, match="num_beds >= 3"):
+            ClusterScenario(**config)
+        with pytest.raises(ValueError, match="num_beds >= 3"):
+            cluster.build_cluster(num_beds=num_beds, clients_per_bed=1,
+                                  requests_per_client=1)
+
     def test_scenario_runs_exactly_once(self):
         scenario = ClusterScenario(**self.CONFIG)
         scenario.run()

@@ -57,6 +57,35 @@ class TestEvents:
         with pytest.raises(SimulationError):
             event.trigger(2)
 
+    def test_repr_of_named_and_unnamed_events(self, sim):
+        assert repr(sim.event("cq-wait")) == "<Event cq-wait pending>"
+        unnamed = sim.event()
+        unnamed.trigger()
+        assert repr(unnamed) == f"<Event {id(unnamed):#x} triggered>"
+
+    @pytest.mark.parametrize("name", ["", "acquire:pcie"])
+    def test_double_trigger_raises_simulation_error(self, sim, name):
+        event = sim.event(name)
+        event.trigger()
+        with pytest.raises(SimulationError, match="triggered twice"):
+            event.trigger()
+        with pytest.raises(SimulationError, match="triggered twice"):
+            event.fail(RuntimeError("late"))
+
+    def test_process_name_is_formatted_on_first_read(self, sim):
+        def body():
+            yield 1
+
+        proc = sim.process(body(), "op:{}:{}", "wq7", 3)
+        assert proc._name_args == ("wq7", 3)
+        assert proc.name == "op:wq7:3"
+        assert proc._name_args == ()
+        assert repr(proc) == "<Process op:wq7:3 running>"
+        # A plain name is taken verbatim; no name falls back to the
+        # generator's.
+        assert sim.process(body(), "x{}").name == "x{}"
+        assert sim.process(body()).name == "body"
+
     def test_failed_event_raises_in_waiter(self, sim):
         event = sim.event()
 
